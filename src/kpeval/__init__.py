@@ -18,6 +18,7 @@ from .baselines import (
     gazetteer_predict,
     oracle_predict,
     random_predict,
+    roundtrip_report,
 )
 from .brat import (
     AnnKind,
@@ -36,10 +37,8 @@ from .codec import (
     LabeledSequence,
     SentenceTokenization,
     Token,
-    align_keyphrases,
     decode_document,
     encode_document,
-    roundtrip_report,
     split_sentences,
     tokenize,
     tokenize_document,

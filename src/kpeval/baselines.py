@@ -33,7 +33,7 @@ from .model import (
     canonicalize_document,
     make_document,
 )
-from .scoring import Scenario
+from .scoring import Scenario, ScoreReport, score_scenario
 
 _BOUNDARY_LABELS = ("O", "B", "I")
 _TYPE_LABELS = ("O", "M", "P", "T")
@@ -57,6 +57,16 @@ def oracle_predict(gold: Corpus, snap: bool = False) -> Corpus:
             for doc in gold
         }
     )
+
+
+def roundtrip_report(corpus: Corpus, snap: bool = False) -> ScoreReport:
+    """Score the oracle prediction of a corpus against the corpus itself.
+
+    This is the oracle upper bound for any sequence-labeling system using
+    this framing: it measures exactly what the conversion itself loses to
+    sentence splitting, tokenization and the BIO scheme.
+    """
+    return score_scenario(corpus, oracle_predict(corpus, snap), Scenario.S1)
 
 
 def _doc_rng(seed: int, doc_id: str) -> random.Random:

@@ -33,6 +33,7 @@ from .model import (
     Relation,
     RelationType,
     ValidationReport,
+    canonicalize_document,
     validate_document,
 )
 
@@ -227,8 +228,6 @@ def serialize_annotations(doc: Document) -> str:
     with no annotations serializes to the empty string.  Re-parsing and
     re-serializing the output is a byte-level fixed point.
     """
-    from .model import canonicalize_document
-
     canonical = canonicalize_document(doc)
     if canonical != doc:
         raise ValueError(f"document {doc.doc_id} is not canonical; "
@@ -249,8 +248,16 @@ def serialize_annotations(doc: Document) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def read_utf8(path: Path) -> str:
+    """Read a UTF-8 file; bytes that do not decode are an OSError naming it."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from None
+
+
 def read_text(path: Path) -> str:
-    text = path.read_text(encoding="utf-8")
+    text = read_utf8(path)
     if text.startswith("﻿"):
         text = text[1:]
     return text
@@ -276,7 +283,7 @@ def load_corpus(dir_path: str | Path) -> tuple[Corpus, ValidationReport]:
     documents = {}
     for stem in sorted(txt_stems & ann_stems):
         text = read_text(dir_path / f"{stem}.txt")
-        ann = (dir_path / f"{stem}.ann").read_text(encoding="utf-8")
+        ann = read_utf8(dir_path / f"{stem}.ann")
         doc, doc_report = parse_document_pair(stem, text, ann)
         documents[stem] = doc
         report.extend(doc_report)
@@ -302,7 +309,7 @@ def load_predictions(dir_path: str | Path, reference: Corpus) -> tuple[Corpus, V
                          f"{path.name} has no document in the gold corpus")
             continue
         text = reference[path.stem].text
-        doc, doc_report = parse_document_pair(path.stem, text, path.read_text(encoding="utf-8"))
+        doc, doc_report = parse_document_pair(path.stem, text, read_utf8(path))
         documents[path.stem] = doc
         report.extend(doc_report)
     for doc_id in reference.doc_ids():

@@ -13,10 +13,25 @@ import argparse
 import shutil
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import analytics, baselines, brat, codec, model, scoring
+
+
+def _int_at_least(minimum: int):
+    """argparse type for an integer flag that rejects values below `minimum`."""
+
+    def integer(value: str) -> int:
+        number = int(value)  # argparse reports a ValueError as an invalid value
+        if number < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}: {number}")
+        return number
+
+    return integer
+
+
+_JOBS = dict(type=_int_at_least(1), default=1, metavar="N",
+             help="accepted for compatibility; the work is sequential")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -32,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="corpus statistics")
     p.add_argument("dir", type=Path)
-    p.add_argument("--top", type=int, default=10, metavar="K")
+    p.add_argument("--top", type=_int_at_least(0), default=10, metavar="K")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("score", help="score predictions against gold")
@@ -43,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pool", choices=("bc", "abc"), default="bc")
     p.add_argument("--by-genre", type=Path, metavar="MAPFILE",
                    help="TSV doc_id<TAB>genre; adds one report per genre")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", **_JOBS)
 
     p = sub.add_parser("convert", help="convert between .ann and sequence TSV")
     p.add_argument("--to", choices=("seq", "ann"), required=True)
@@ -52,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snap", action="store_true",
                    help="expand misaligned spans to token boundaries")
     p.add_argument("--force", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", **_JOBS)
 
     p = sub.add_parser("baseline", help="generate a reference prediction")
     p.add_argument("--kind", choices=[k.value for k in baselines.BaselineKind],
@@ -64,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", type=int, choices=(1, 2, 3), default=1)
     p.add_argument("--snap", action="store_true")
     p.add_argument("--force", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", **_JOBS)
 
     p = sub.add_parser("agreement", help="inter-annotator agreement")
     p.add_argument("--a", dest="dir_a", type=Path, required=True)
@@ -74,13 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     return parser
-
-
-def _load(dir_path: Path) -> tuple[brat.Corpus, brat.ValidationReport]:
-    try:
-        return brat.load_corpus(dir_path)
-    except (NotADirectoryError, OSError) as exc:
-        raise SystemExit(_usage_error(str(exc)))
 
 
 def _usage_error(message: str) -> int:
@@ -95,21 +103,19 @@ def _print_report_entries(report: brat.ValidationReport) -> None:
         print(f"WARNING [{code}] {message}", file=sys.stderr)
 
 
-def _prepare_corpus(
-    corpus: brat.Corpus, report: brat.ValidationReport, jobs: int = 1
-) -> brat.Corpus:
-    """Canonicalize for scoring, dropping whatever cannot be scored."""
+def _prepare_corpus(corpus: brat.Corpus) -> brat.Corpus:
+    """Canonicalize for scoring, dropping whatever cannot be scored.
 
-    def prepare(doc):
-        clean, dropped = model.drop_invalid(doc)
-        return doc.doc_id, model.canonicalize_document(clean), dropped
-
-    prepared = _parallel(jobs, prepare, list(corpus))
+    The loader has already reported on every document, so what is dropped
+    only shows as a warning, and the cleaned document is valid by
+    construction and needs no second check.
+    """
     documents = {}
-    for doc_id, doc, dropped in prepared:
+    for doc in corpus:
+        clean, dropped = model.drop_invalid(doc)
         for message in dropped:
-            print(f"WARNING [DROPPED] {doc_id}: {message}", file=sys.stderr)
-        documents[doc_id] = doc
+            print(f"WARNING [DROPPED] {doc.doc_id}: {message}", file=sys.stderr)
+        documents[doc.doc_id] = model.canonical_form(clean)
     return brat.Corpus(documents)
 
 
@@ -132,15 +138,8 @@ def _write_atomic(out_dir: Path, force: bool, writer) -> None:
         raise
 
 
-def _parallel(jobs: int, func, values: list) -> list:
-    if jobs <= 1 or len(values) <= 1:
-        return [func(v) for v in values]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(func, values))
-
-
 def cmd_validate(args: argparse.Namespace) -> int:
-    corpus, report = _load(args.dir)
+    corpus, report = brat.load_corpus(args.dir)
     _print_report_entries(report)
     print(f"documents: {len(corpus)}")
     print(f"errors:    {len(report.errors)}")
@@ -149,7 +148,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    corpus, report = _load(args.dir)
+    corpus, report = brat.load_corpus(args.dir)
     _print_report_entries(report)
     stats = analytics.corpus_stats(corpus, k=args.top)
     out = analytics.stats_to_json(stats) if args.json else analytics.stats_to_text(stats)
@@ -158,15 +157,12 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    gold_raw, gold_report = _load(args.gold)
-    try:
-        pred_raw, pred_report = brat.load_predictions(args.pred, gold_raw)
-    except NotADirectoryError as exc:
-        return _usage_error(str(exc))
+    gold_raw, gold_report = brat.load_corpus(args.gold)
+    pred_raw, pred_report = brat.load_predictions(args.pred, gold_raw)
     _print_report_entries(gold_report)
     _print_report_entries(pred_report)
-    gold = _prepare_corpus(gold_raw, gold_report, jobs=args.jobs)
-    pred = _prepare_corpus(pred_raw, pred_report, jobs=args.jobs)
+    gold = _prepare_corpus(gold_raw)
+    pred = _prepare_corpus(pred_raw)
     scenario = scoring.Scenario(args.scenario)
 
     doc_ids = gold.doc_ids()
@@ -204,7 +200,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 def _read_genre_map(path: Path) -> dict[str, str]:
     genres = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in brat.read_utf8(path).splitlines():
         if line.strip():
             doc_id, _, genre = line.partition("\t")
             genres[doc_id.strip()] = genre.strip() or "unmapped"
@@ -212,73 +208,63 @@ def _read_genre_map(path: Path) -> dict[str, str]:
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
+    files: dict[str, str] = {}  # output file name -> content
     if args.to == "seq":
-        corpus_raw, report = _load(args.in_dir)
+        corpus_raw, report = brat.load_corpus(args.in_dir)
         _print_report_entries(report)
-        corpus = _prepare_corpus(corpus_raw, report)
-
-        def render(doc):
+        for doc in _prepare_corpus(corpus_raw):
             sequences, _ = codec.encode_document(doc, snap=args.snap)
-            return doc.doc_id, codec.sequences_to_tsv(sequences), doc.text
-
-        rendered = _parallel(args.jobs, render, list(corpus))
-
-        def writer(tmp: Path) -> None:
-            for doc_id, tsv, text in sorted(rendered):
-                (tmp / f"{doc_id}.seq").write_text(tsv, encoding="utf-8")
-                (tmp / f"{doc_id}.txt").write_text(text, encoding="utf-8")
-
-        _write_atomic(args.out_dir, args.force, writer)
-        return 0 if report.ok else 1
+            files[f"{doc.doc_id}.seq"] = codec.sequences_to_tsv(sequences)
+            files[f"{doc.doc_id}.txt"] = doc.text
     else:
         if not args.in_dir.is_dir():
             return _usage_error(f"not a directory: {args.in_dir}")
         seq_paths = sorted(args.in_dir.glob("*.seq"))
         if not seq_paths:
             return _usage_error(f"no .seq files in {args.in_dir}")
-
-        def decode(path: Path):
+        report = brat.ValidationReport()
+        for path in seq_paths:
             txt = path.with_suffix(".txt")
             if not txt.exists():
-                raise SystemExit(_usage_error(f"{path.name} has no matching .txt"))
+                return _usage_error(f"{path.name} has no matching .txt")
             text = brat.read_text(txt)
-            sequences = codec.sequences_from_tsv(path.read_text(encoding="utf-8"))
-            doc = codec.decode_document(sequences, text, path.stem)
-            return path.stem, brat.serialize_annotations(doc), text
+            try:
+                sequences = codec.sequences_from_tsv(brat.read_utf8(path), path.name)
+                doc = codec.decode_document(sequences, text, path.stem)
+            except brat.MalformedLine as exc:
+                report.error(path.stem, brat.MALFORMED_LINE, str(exc))
+                continue
+            except ValueError as exc:  # a token lies outside the text
+                report.error(path.stem, model.OFFSET_OUT_OF_BOUNDS, f"{path.name}: {exc}")
+                continue
+            files[f"{path.stem}.ann"] = brat.serialize_annotations(doc)
+            files[f"{path.stem}.txt"] = text
+        _print_report_entries(report)
 
-        rendered = _parallel(args.jobs, decode, seq_paths)
+    def writer(tmp: Path) -> None:
+        for name, content in files.items():
+            (tmp / name).write_text(content, encoding="utf-8")
 
-        def writer(tmp: Path) -> None:
-            for doc_id, ann, text in sorted(rendered):
-                (tmp / f"{doc_id}.ann").write_text(ann, encoding="utf-8")
-                (tmp / f"{doc_id}.txt").write_text(text, encoding="utf-8")
-
-        _write_atomic(args.out_dir, args.force, writer)
-        return 0
+    _write_atomic(args.out_dir, args.force, writer)
+    return 0 if report.ok else 1
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
-    corpus_raw, report = _load(args.in_dir)
+    corpus_raw, report = brat.load_corpus(args.in_dir)
     _print_report_entries(report)
-    corpus = _prepare_corpus(corpus_raw, report)
+    corpus = _prepare_corpus(corpus_raw)
     kind = baselines.BaselineKind(args.kind)
     if kind is baselines.BaselineKind.ORACLE:
         predicted = baselines.oracle_predict(corpus, snap=args.snap)
     elif kind is baselines.BaselineKind.RANDOM:
         scenario = scoring.Scenario(args.scenario)
-
-        def predict_one(doc):
-            single = brat.Corpus({doc.doc_id: doc})
-            return baselines.random_predict(single, scenario, args.seed)[doc.doc_id]
-
-        docs = _parallel(args.jobs, predict_one, list(corpus))
-        predicted = brat.Corpus({d.doc_id: d for d in docs})
+        predicted = baselines.random_predict(corpus, scenario, args.seed)
     else:
         if not args.train:
             return _usage_error("--kind gazetteer requires --train")
-        train_raw, train_report = _load(args.train)
+        train_raw, train_report = brat.load_corpus(args.train)
         _print_report_entries(train_report)
-        gaz = baselines.gazetteer_build(_prepare_corpus(train_raw, train_report))
+        gaz = baselines.gazetteer_build(_prepare_corpus(train_raw))
         predicted = baselines.gazetteer_predict(gaz, corpus)
 
     def writer(tmp: Path) -> None:
@@ -289,14 +275,14 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 
 
 def cmd_agreement(args: argparse.Namespace) -> int:
-    corpus_a, report_a = _load(args.dir_a)
-    corpus_b, report_b = _load(args.dir_b)
+    corpus_a, report_a = brat.load_corpus(args.dir_a)
+    corpus_b, report_b = brat.load_corpus(args.dir_b)
     _print_report_entries(report_a)
     _print_report_entries(report_b)
     try:
         report = analytics.agreement_report(
-            _prepare_corpus(corpus_a, report_a),
-            _prepare_corpus(corpus_b, report_b),
+            _prepare_corpus(corpus_a),
+            _prepare_corpus(corpus_b),
             granularity=args.granularity,
         )
     except ValueError as exc:
@@ -331,6 +317,8 @@ def run_cli(argv: list[str]) -> int:
         return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return int(exc.code or 0)
+    except OSError as exc:  # a missing directory, an unreadable or undecodable file
+        return _usage_error(str(exc))
 
 
 def main() -> None:

@@ -9,9 +9,10 @@ One sentence is one sequence.  Three label layers are used:
 
 The conversion is lossy by construction: spans that do not coincide with
 token boundaries and relations that cross sentences cannot be expressed.
-`roundtrip_report` quantifies exactly that loss by scoring decode(encode(d))
-against d.  Nothing is lost silently; every keyphrase and relation of the
-input is accounted for in the AlignmentOutcome.
+`baselines.roundtrip_report` quantifies exactly that loss by scoring
+decode(encode(d)) against d.  Nothing is lost silently; every keyphrase and
+relation of the input is accounted for in the AlignmentOutcome that
+`encode_document` returns.
 
 Sentence and token rules are deliberately simple and fully deterministic:
 
@@ -21,7 +22,7 @@ Sentence and token rules are deliberately simple and fully deterministic:
     '-', '_', '.', apostrophe or '+' flanked by alphanumerics on both sides;
     any other non-space character is a one-character token.
 
-All functions are pure; per-document work can run in parallel.
+All functions are pure.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import dataclasses
 import re
 from dataclasses import dataclass
 
+from .brat import MalformedLine
 from .model import (
     TYPE_PRIORITY,
     Document,
@@ -148,29 +150,6 @@ def tokenize_document(text: str) -> list[SentenceTokenization]:
     return result
 
 
-def align_keyphrases(
-    doc: Document, tokenizations: list[SentenceTokenization]
-) -> AlignmentOutcome:
-    """Map each keyphrase onto a token range, or record why it cannot be.
-
-    A keyphrase aligns iff its start is some token's start and its end some
-    token's end within a single sentence.  Spans not contained in any single
-    sentence drop as CROSSES_SENTENCE; contained spans that miss token
-    boundaries drop as BOUNDARY_MISMATCH.  A relation drops when either
-    argument dropped (ARGUMENT_DROPPED) or its arguments sit in different
-    sentences (CROSS_SENTENCE_RELATION).
-    """
-    outcome = AlignmentOutcome()
-    for kp in doc.keyphrases:
-        placed = _place_span(kp.start, kp.end, tokenizations)
-        if isinstance(placed, str):
-            outcome.dropped_spans.append((kp.id, placed))
-        else:
-            outcome.aligned[kp.id] = placed
-    _account_relations(doc, outcome)
-    return outcome
-
-
 def _place_span(
     start: int, end: int, tokenizations: list[SentenceTokenization]
 ) -> tuple[int, tuple[int, int]] | str:
@@ -207,22 +186,17 @@ def _snap_span(
     return (s_idx, (hits[0][1], hits[-1][1] + 1))
 
 
-def _account_relations(doc: Document, outcome: AlignmentOutcome) -> None:
-    """Fill dropped_relations for the current `aligned` map."""
-    outcome.dropped_relations.clear()
-    for rel in doc.relations:
-        a1 = outcome.aligned.get(rel.arg1)
-        a2 = outcome.aligned.get(rel.arg2)
-        if a1 is None or a2 is None:
-            outcome.dropped_relations.append((rel, ARGUMENT_DROPPED))
-        elif a1[0] != a2[0]:
-            outcome.dropped_relations.append((rel, CROSS_SENTENCE_RELATION))
-
-
 def encode_document(
     doc: Document, snap: bool = False
 ) -> tuple[list[LabeledSequence], AlignmentOutcome]:
     """Encode a canonical document as one labeled sequence per sentence.
+
+    A keyphrase aligns iff its start is some token's start and its end some
+    token's end within a single sentence.  Spans not contained in any single
+    sentence drop as CROSSES_SENTENCE; contained spans that miss token
+    boundaries drop as BOUNDARY_MISMATCH.  A relation drops when either
+    argument dropped (ARGUMENT_DROPPED) or its arguments sit in different
+    sentences (CROSS_SENTENCE_RELATION).
 
     With `snap` enabled, spans that merely miss token boundaries are first
     expanded outward to enclosing token boundaries instead of being dropped.
@@ -244,7 +218,13 @@ def encode_document(
             outcome.aligned[kp.id] = placed
 
     _resolve_overlaps(by_id, outcome)
-    _account_relations(doc, outcome)
+    for rel in doc.relations:
+        a1 = outcome.aligned.get(rel.arg1)
+        a2 = outcome.aligned.get(rel.arg2)
+        if a1 is None or a2 is None:
+            outcome.dropped_relations.append((rel, ARGUMENT_DROPPED))
+        elif a1[0] != a2[0]:
+            outcome.dropped_relations.append((rel, CROSS_SENTENCE_RELATION))
 
     sequences = [
         LabeledSequence(
@@ -429,23 +409,6 @@ def _majority_type(votes: list[str]) -> KeyphraseType:
     return best
 
 
-def roundtrip_report(corpus, snap: bool = False):
-    """Score decode(encode(doc)) against doc for a whole corpus.
-
-    This is the oracle upper bound for any sequence-labeling system using
-    this framing: it measures exactly what the conversion itself loses to
-    sentence splitting, tokenization and the BIO scheme.
-    """
-    from .brat import Corpus
-    from .scoring import Scenario, score_scenario
-
-    predicted = Corpus(
-        {doc.doc_id: decode_document(encode_document(doc, snap)[0], doc.text, doc.doc_id)
-         for doc in corpus}
-    )
-    return score_scenario(corpus, predicted, Scenario.S1)
-
-
 # ---------------------------------------------------------------------------
 # TSV export/import of encoded sequences (the CLI `convert` wire format):
 # one "token<TAB>start<TAB>end<TAB>label_a<TAB>label_b" line per token,
@@ -467,30 +430,38 @@ def sequences_to_tsv(sequences: list[LabeledSequence]) -> str:
     return "\n\n".join(blocks) + ("\n" if blocks else "")
 
 
-def sequences_from_tsv(content: str) -> list[LabeledSequence]:
+def sequences_from_tsv(content: str, filename: str | None = None) -> list[LabeledSequence]:
+    """Parse the format `sequences_to_tsv` writes.
+
+    Raises MalformedLine, carrying `filename` and the line number, for a line
+    with the wrong number of fields or a non-integer offset or cell index.
+    """
     sequences = []
+    block_line = 1
     for block in content.split("\n\n"):
+        first_line, block_line = block_line, block_line + block.count("\n") + 2
         if not block.strip():
             continue
         tokens: list[Token] = []
         labels_a: list[str] = []
         labels_b: list[str] = []
         cells: dict[tuple[int, int], str] = {}
-        for raw in block.splitlines():
+        for lineno, raw in enumerate(block.splitlines(), first_line):
             if not raw.strip():
                 continue
             fields = raw.split("\t")
-            if fields[0] == "#REL":
-                if len(fields) != 4:
-                    raise ValueError(f"bad #REL line: {raw!r}")
-                cells[(int(fields[1]), int(fields[2]))] = fields[3]
-            else:
-                if len(fields) != 5:
-                    raise ValueError(f"bad token line: {raw!r}")
-                text, start, end, a, b = fields
-                tokens.append(Token(int(start), int(end), text))
-                labels_a.append(a)
-                labels_b.append(b)
+            try:
+                if fields[0] == "#REL":
+                    _, i, j, value = fields
+                    cells[(int(i), int(j))] = value
+                else:
+                    text, start, end, a, b = fields
+                    tokens.append(Token(int(start), int(end), text))
+                    labels_a.append(a)
+                    labels_b.append(b)
+            except ValueError as exc:  # a wrong field count or a non-integer
+                kind = "#REL" if fields[0] == "#REL" else "token"
+                raise MalformedLine(f"bad {kind} line ({exc})", raw, lineno, filename) from None
         if not tokens:
             continue
         sent = SentenceTokenization(tokens[0].start, tokens[-1].end, tuple(tokens))

@@ -136,27 +136,33 @@ CROSS_TYPE_RELATION = "CROSS_TYPE_RELATION"
 DUPLICATE_SPAN = "DUPLICATE_SPAN"
 
 
-def validate_document(doc: Document) -> ValidationReport:
-    """Check every document invariant, reporting violations instead of raising.
+def _walk(doc: Document) -> tuple[ValidationReport, Document, list[str]]:
+    """Apply every invariant rule to every annotation of `doc`, once.
 
-    Errors: offsets out of bounds, surface/text mismatch, duplicate keyphrase
-    ids, relation arguments that do not resolve, self-relations.  Warnings:
-    relations whose two arguments have different keyphrase types (annotation
-    guidelines restrict relations to same-type mentions, but predictions may
-    not), and exactly duplicated (start, end, type) keyphrases.
+    Returns the validation report, the document stripped of each annotation
+    that breaks an error rule, and one message per stripped annotation.  The
+    two views resolve ids differently: the report resolves an id to its first
+    definition, valid or not, while the stripped document keeps the first
+    valid keyphrase of each id, so a relation whose argument was stripped is
+    stripped as dangling.
     """
     report = ValidationReport()
+    dropped: list[str] = []
     n = len(doc.text)
-    seen_ids: dict[str, Keyphrase] = {}
+    seen_ids: dict[str, Keyphrase] = {}  # first definition of each id
+    kept: dict[str, Keyphrase] = {}  # first valid keyphrase of each id
     seen_spans: set[tuple[int, int, KeyphraseType]] = set()
     for kp in doc.keyphrases:
+        drop = None  # why drop_invalid strips this keyphrase, if it does
         if not (0 <= kp.start < kp.end <= n):
+            drop = "span out of bounds"
             report.error(
                 doc.doc_id,
                 OFFSET_OUT_OF_BOUNDS,
                 f"{kp.id}: span ({kp.start}, {kp.end}) outside text of length {n}",
             )
         elif kp.surface != doc.text[kp.start : kp.end]:
+            drop = "surface mismatch"
             report.error(
                 doc.doc_id,
                 SURFACE_MISMATCH,
@@ -167,6 +173,12 @@ def validate_document(doc: Document) -> ValidationReport:
             report.error(doc.doc_id, DUPLICATE_ID, f"id {kp.id} defined twice")
         else:
             seen_ids[kp.id] = kp
+        if drop is None and kp.id in kept:
+            drop = "duplicate id"
+        if drop is None:
+            kept[kp.id] = kp
+        else:
+            dropped.append(f"keyphrase {kp.id}: {drop}")
         key = (kp.start, kp.end, kp.ktype)
         if key in seen_spans:
             report.warn(
@@ -176,30 +188,51 @@ def validate_document(doc: Document) -> ValidationReport:
             )
         seen_spans.add(key)
 
+    relations: list[Relation] = []
     for rel in doc.relations:
         if rel.arg1 == rel.arg2:
+            drop = "self-relation"
             report.error(
                 doc.doc_id, SELF_RELATION, f"{rel.rtype.value} relates {rel.arg1} to itself"
             )
-            continue
-        dangling = [a for a in (rel.arg1, rel.arg2) if a not in seen_ids]
-        if dangling:
-            report.error(
-                doc.doc_id,
-                DANGLING_ARGUMENT,
-                f"{rel.rtype.value}({rel.arg1}, {rel.arg2}): no keyphrase "
-                + ", ".join(dangling),
-            )
-            continue
-        k1, k2 = seen_ids[rel.arg1], seen_ids[rel.arg2]
-        if k1.ktype != k2.ktype:
-            report.warn(
-                doc.doc_id,
-                CROSS_TYPE_RELATION,
-                f"{rel.rtype.value}({rel.arg1}, {rel.arg2}) links "
-                f"{k1.ktype.value} to {k2.ktype.value}",
-            )
-    return report
+        else:
+            drop = None if rel.arg1 in kept and rel.arg2 in kept else "dangling argument"
+            dangling = [a for a in (rel.arg1, rel.arg2) if a not in seen_ids]
+            if dangling:
+                report.error(
+                    doc.doc_id,
+                    DANGLING_ARGUMENT,
+                    f"{rel.rtype.value}({rel.arg1}, {rel.arg2}): no keyphrase "
+                    + ", ".join(dangling),
+                )
+            else:
+                k1, k2 = seen_ids[rel.arg1], seen_ids[rel.arg2]
+                if k1.ktype != k2.ktype:
+                    report.warn(
+                        doc.doc_id,
+                        CROSS_TYPE_RELATION,
+                        f"{rel.rtype.value}({rel.arg1}, {rel.arg2}) links "
+                        f"{k1.ktype.value} to {k2.ktype.value}",
+                    )
+        if drop is None:
+            relations.append(rel)
+        else:
+            dropped.append(f"{rel.rtype.value}({rel.arg1}, {rel.arg2}): {drop}")
+    if dropped:
+        doc = Document(doc.doc_id, doc.text, tuple(kept.values()), tuple(relations))
+    return report, doc, dropped
+
+
+def validate_document(doc: Document) -> ValidationReport:
+    """Check every document invariant, reporting violations instead of raising.
+
+    Errors: offsets out of bounds, surface/text mismatch, duplicate keyphrase
+    ids, relation arguments that do not resolve, self-relations.  Warnings:
+    relations whose two arguments have different keyphrase types (annotation
+    guidelines restrict relations to same-type mentions, but predictions may
+    not), and exactly duplicated (start, end, type) keyphrases.
+    """
+    return _walk(doc)[0]
 
 
 def canonicalize_document(doc: Document) -> Document:
@@ -209,7 +242,8 @@ def canonicalize_document(doc: Document) -> Document:
     keyphrases sorted by (start, end, type) and renumbered T1..Tn, SYNONYM_OF
     arguments ordered so arg1 has the lexicographically smaller span, duplicate
     relations merged, relations sorted deterministically.  The function is a
-    fixed point: canonicalizing twice equals canonicalizing once.
+    fixed point: canonicalizing twice equals canonicalizing once.  Raises
+    ValueError, naming the first error, for a document that does not validate.
     """
     report = validate_document(doc)
     if not report.ok:
@@ -218,7 +252,15 @@ def canonicalize_document(doc: Document) -> Document:
             f"cannot canonicalize {doc.doc_id}: {len(report.errors)} validation "
             f"error(s), first: [{first[1]}] {first[2]}"
         )
+    return canonical_form(doc)
 
+
+def canonical_form(doc: Document) -> Document:
+    """`canonicalize_document` for a document known to validate, unchecked.
+
+    For callers that hold the output of `drop_invalid`, which is valid by
+    construction.  An invalid document gives undefined results.
+    """
     # Merge duplicate spans, keeping one representative per (start, end, type).
     merged: dict[tuple[int, int, KeyphraseType], Keyphrase] = {}
     remap: dict[str, tuple[int, int, KeyphraseType]] = {}
@@ -268,31 +310,12 @@ def drop_invalid(doc: Document) -> tuple[Document, list[str]]:
     Prediction files from third parties sometimes carry out-of-bounds spans or
     dangling relation arguments; those cannot be scored as items, so they are
     removed with a description of each removal.  Duplicate ids keep the first
-    occurrence.  Cross-type relations are warnings and are kept.
+    valid occurrence, and relations resolve to it; a relation whose argument
+    was removed is removed as dangling.  Cross-type relations are warnings and
+    are kept.  A document that validates comes back unchanged.
     """
-    dropped: list[str] = []
-    n = len(doc.text)
-    keep: list[Keyphrase] = []
-    ids: set[str] = set()
-    for kp in doc.keyphrases:
-        if not (0 <= kp.start < kp.end <= n):
-            dropped.append(f"keyphrase {kp.id}: span out of bounds")
-        elif kp.surface != doc.text[kp.start : kp.end]:
-            dropped.append(f"keyphrase {kp.id}: surface mismatch")
-        elif kp.id in ids:
-            dropped.append(f"keyphrase {kp.id}: duplicate id")
-        else:
-            keep.append(kp)
-            ids.add(kp.id)
-    rels: list[Relation] = []
-    for rel in doc.relations:
-        if rel.arg1 == rel.arg2:
-            dropped.append(f"{rel.rtype.value}({rel.arg1}, {rel.arg2}): self-relation")
-        elif rel.arg1 not in ids or rel.arg2 not in ids:
-            dropped.append(f"{rel.rtype.value}({rel.arg1}, {rel.arg2}): dangling argument")
-        else:
-            rels.append(rel)
-    return Document(doc.doc_id, doc.text, tuple(keep), tuple(rels)), dropped
+    _, clean, dropped = _walk(doc)
+    return clean, dropped
 
 
 def make_document(

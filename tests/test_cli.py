@@ -1,9 +1,11 @@
 import json
 import random
+import sys
 
 import pytest
 
 from conftest import misalignment_corpus, synth_corpus, write_corpus_dir
+from kpeval import model
 from kpeval.cli import run_cli
 
 
@@ -215,3 +217,83 @@ def test_stats_json(corpus_dir, capsys):
     assert run_cli(["stats", str(corpus_dir), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["n_mentions"] > 0
+
+
+def _assert_clean_failure(captured, filename):
+    assert filename in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
+def test_validate_non_utf8_text_is_io_error(tmp_path, capsys):
+    d = tmp_path / "bad"
+    d.mkdir()
+    (d / "latin1.txt").write_bytes("Café au lait.".encode("latin-1"))
+    (d / "latin1.ann").write_text("T1\tMaterial 0 4\tCafé\n", encoding="utf-8")
+    assert run_cli(["validate", str(d)]) == 2
+    _assert_clean_failure(capsys.readouterr(), "latin1.txt")
+
+
+def test_convert_to_ann_reports_non_integer_seq_offset(tmp_path, capsys):
+    d = tmp_path / "seq"
+    d.mkdir()
+    (d / "doc.txt").write_text("Graphene conducts heat.", encoding="utf-8")
+    (d / "doc.seq").write_text(
+        "Graphene\t0\t8\tB\tM\nconducts\t9\tx\tO\tO\n", encoding="utf-8"
+    )
+    assert run_cli(["convert", "--to", "ann", "--in", str(d), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    _assert_clean_failure(captured, "doc.seq line 2")
+    assert "MALFORMED_LINE" in captured.err
+
+
+def test_convert_to_ann_reports_token_past_text_end(tmp_path, capsys):
+    d = tmp_path / "seq"
+    d.mkdir()
+    (d / "doc.txt").write_text("Graphene.", encoding="utf-8")
+    (d / "doc.seq").write_text(
+        "Graphene\t0\t8\tB\tM\n.\t8\t9\tO\tO\nconducts\t10\t18\tB\tP\n", encoding="utf-8"
+    )
+    assert run_cli(["convert", "--to", "ann", "--in", str(d), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    _assert_clean_failure(captured, "doc.seq")
+    assert "OFFSET_OUT_OF_BOUNDS" in captured.err
+
+
+def test_score_rejects_jobs_below_one(corpus_dir, capsys):
+    code = run_cli([
+        "score", "--scenario", "1", "--jobs", "0",
+        "--gold", str(corpus_dir), "--pred", str(corpus_dir),
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "--jobs" in captured.err
+    assert captured.out == ""
+
+
+def test_stats_rejects_negative_top(corpus_dir, capsys):
+    assert run_cli(["stats", str(corpus_dir), "--top", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "--top" in captured.err
+    assert captured.out == ""
+
+
+def test_score_validates_each_loaded_document_once(corpus_dir, monkeypatch):
+    original = model.validate_document
+    calls = []
+
+    def counting(doc):
+        calls.append(doc.doc_id)
+        return original(doc)
+
+    for name, module in list(sys.modules.items()):
+        if name == "kpeval" or name.startswith("kpeval."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    code = run_cli([
+        "score", "--scenario", "1",
+        "--gold", str(corpus_dir), "--pred", str(corpus_dir),
+    ])
+    assert code == 0
+    doc_ids = sorted(p.stem for p in corpus_dir.glob("*.ann"))
+    assert sorted(calls) == sorted(doc_ids * 2)  # each gold and each prediction file

@@ -8,9 +8,9 @@ from conftest import EXAMPLE_TEXT, example_document, misalignment_corpus, synth_
 from kpeval import (
     KeyphraseType,
     LabeledSequence,
+    MalformedLine,
     RelationType,
     Subtask,
-    align_keyphrases,
     canonicalize_document,
     decode_document,
     encode_document,
@@ -18,7 +18,6 @@ from kpeval import (
     roundtrip_report,
     split_sentences,
     tokenize,
-    tokenize_document,
 )
 from kpeval.codec import (
     BOUNDARY_MISMATCH,
@@ -115,7 +114,7 @@ def test_tokens_preserve_offsets():
 
 def test_align_example_document():
     doc = example_document()
-    outcome = align_keyphrases(doc, tokenize_document(doc.text))
+    outcome = encode_document(doc)[1]
     assert len(outcome.aligned) == 8
     # ConLL-2003 NER corpus -> three tokens in sentence 3
     s_idx, (first, last) = outcome.aligned["T8"]
@@ -127,7 +126,7 @@ def test_align_example_document():
 def test_align_reports_boundary_mismatch():
     text = "Alpha ConLL-2003 beta."
     doc = make_document("d", text, [("T1", K.MATERIAL, 6, 11)])  # "ConLL" only
-    outcome = align_keyphrases(doc, tokenize_document(text))
+    outcome = encode_document(doc)[1]
     assert outcome.aligned == {}
     assert outcome.dropped_spans == [("T1", BOUNDARY_MISMATCH)]
 
@@ -135,13 +134,13 @@ def test_align_reports_boundary_mismatch():
 def test_align_reports_crossing_sentence():
     text = "Alpha beta. Gamma delta."
     doc = make_document("d", text, [("T1", K.MATERIAL, 6, 17)])
-    outcome = align_keyphrases(doc, tokenize_document(text))
+    outcome = encode_document(doc)[1]
     assert outcome.dropped_spans == [("T1", CROSSES_SENTENCE)]
 
 
 def test_every_keyphrase_is_accounted_for():
     doc = example_document()
-    outcome = align_keyphrases(doc, tokenize_document(doc.text))
+    outcome = encode_document(doc)[1]
     ids = set(outcome.aligned) | {kp_id for kp_id, _ in outcome.dropped_spans}
     assert ids == {kp.id for kp in doc.keyphrases}
 
@@ -425,3 +424,11 @@ def test_tsv_layout():
 def test_tsv_rejects_garbage():
     with pytest.raises(ValueError):
         sequences_from_tsv("one\ttwo\n")
+
+
+def test_tsv_malformed_line_names_file_and_line():
+    content = "a\t0\t1\tB\tM\n\nb\t2\t3\tO\tO\n#REL\t0\tone\tS\n"
+    with pytest.raises(MalformedLine) as info:
+        sequences_from_tsv(content, "doc.seq")
+    assert (info.value.filename, info.value.lineno) == ("doc.seq", 4)
+    assert str(info.value).startswith("doc.seq line 4: bad #REL line")

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from conftest import synth_document
 from kpeval import (
+    Document,
+    Keyphrase,
     KeyphraseType,
     Relation,
     RelationType,
@@ -205,3 +207,93 @@ def test_drop_invalid_strips_unusable_annotations():
     assert clean.relations == ()
     assert len(dropped) == 3
     assert validate_document(clean).errors == []
+
+
+def test_drop_invalid_keeps_valid_twin_of_out_of_bounds_id():
+    doc = make_document(
+        "d",
+        "alpha beta",
+        [("T1", K.TASK, 0, 99), ("T1", K.TASK, 0, 5), ("T2", K.TASK, 6, 10)],
+        [(R.SYNONYM_OF, "T1", "T2")],
+    )
+    clean, dropped = drop_invalid(doc)
+    assert clean.keyphrases == doc.keyphrases[1:]
+    assert clean.relations == doc.relations
+    assert dropped == ["keyphrase T1: span out of bounds"]
+    codes = [e[1] for e in validate_document(doc).errors]
+    assert codes == ["OFFSET_OUT_OF_BOUNDS", "DUPLICATE_ID"]
+
+
+def test_drop_invalid_drops_relation_to_out_of_bounds_keyphrase():
+    doc = make_document(
+        "d",
+        "alpha beta",
+        [("T1", K.TASK, 0, 5), ("T2", K.TASK, 6, 99)],
+        [(R.HYPONYM_OF, "T1", "T2")],
+    )
+    clean, dropped = drop_invalid(doc)
+    assert clean.keyphrases == doc.keyphrases[:1]
+    assert clean.relations == ()
+    assert dropped == [
+        "keyphrase T2: span out of bounds",
+        "Hyponym-of(T1, T2): dangling argument",
+    ]
+    # The argument resolves to its (broken) definition, so validation flags
+    # the keyphrase only.
+    assert [e[1] for e in validate_document(doc).errors] == ["OFFSET_OUT_OF_BOUNDS"]
+
+
+_TEXT = "alpha beta gamma"
+_IDS = st.sampled_from(["T1", "T2", "T3", "T4"])
+
+
+@st.composite
+def _any_keyphrase(draw):
+    start = draw(st.integers(-2, len(_TEXT) + 2))
+    end = draw(st.integers(-2, len(_TEXT) + 2))
+    surface = _TEXT[max(start, 0) : max(end, 0)]
+    if draw(st.booleans()):
+        surface = draw(st.sampled_from(["", "alpha", "x"]))
+    return Keyphrase(draw(_IDS), draw(st.sampled_from(K)), start, end, surface)
+
+
+_ANY_DOCUMENT = st.builds(
+    lambda kps, rels: Document("d", _TEXT, tuple(kps), tuple(rels)),
+    st.lists(_any_keyphrase(), max_size=6),
+    st.lists(st.builds(Relation, st.sampled_from(R), _IDS, _IDS), max_size=6),
+)
+
+
+def _reference_drop_invalid(doc):
+    """drop_invalid's rules stated on their own, as an oracle for the shared walk."""
+    dropped, keep, ids, rels = [], [], set(), []
+    for kp in doc.keyphrases:
+        if not (0 <= kp.start < kp.end <= len(doc.text)):
+            dropped.append(f"keyphrase {kp.id}: span out of bounds")
+        elif kp.surface != doc.text[kp.start : kp.end]:
+            dropped.append(f"keyphrase {kp.id}: surface mismatch")
+        elif kp.id in ids:
+            dropped.append(f"keyphrase {kp.id}: duplicate id")
+        else:
+            keep.append(kp)
+            ids.add(kp.id)
+    for rel in doc.relations:
+        name = f"{rel.rtype.value}({rel.arg1}, {rel.arg2})"
+        if rel.arg1 == rel.arg2:
+            dropped.append(f"{name}: self-relation")
+        elif rel.arg1 not in ids or rel.arg2 not in ids:
+            dropped.append(f"{name}: dangling argument")
+        else:
+            rels.append(rel)
+    return Document(doc.doc_id, doc.text, tuple(keep), tuple(rels)), dropped
+
+
+@settings(max_examples=300)
+@given(_ANY_DOCUMENT)
+def test_drop_invalid_output_always_validates(doc):
+    clean, dropped = drop_invalid(doc)
+    assert (clean, dropped) == _reference_drop_invalid(doc)
+    assert validate_document(clean).errors == []
+    assert drop_invalid(clean) == (clean, [])
+    if validate_document(doc).ok:
+        assert (clean, dropped) == (doc, [])
