@@ -5,7 +5,8 @@ File conventions (one document = `<stem>.txt` + `<stem>.ann`, both UTF-8):
   * `<stem>.txt` holds one plain-text paragraph.  Bytes are preserved as-is
     (no re-wrapping); a leading BOM, if present, is stripped before offset 0
     is assigned.  Offsets count Unicode code points of the resulting string.
-  * `<stem>.ann` is newline-delimited and tab-separated:
+  * `<stem>.ann` is UTF-8 too, and a leading BOM is stripped likewise.  It
+    is newline-delimited and tab-separated:
       - entities:     ``T<k>\\t<Type> <start> <end>\\t<surface>``
       - hyponymy:     ``R<k>\\tHyponym-of Arg1:T<i> Arg2:T<j>``
       - synonymy:     ``*\\tSynonym-of T<i> T<j> [T<l> ...]``
@@ -33,7 +34,7 @@ from .model import (
     Relation,
     RelationType,
     ValidationReport,
-    canonicalize_document,
+    is_canonical,
     validate_document,
 )
 
@@ -184,8 +185,8 @@ def parse_document_pair(
     the full validate_document output for the assembled document.
     """
     report = ValidationReport()
-    if text.startswith("﻿"):
-        text = text[1:]
+    text = text.removeprefix("\ufeff")
+    ann = ann.removeprefix("\ufeff")
     keyphrases: list[Keyphrase] = []
     relations: list[Relation] = []
     n = len(text)
@@ -228,8 +229,7 @@ def serialize_annotations(doc: Document) -> str:
     with no annotations serializes to the empty string.  Re-parsing and
     re-serializing the output is a byte-level fixed point.
     """
-    canonical = canonicalize_document(doc)
-    if canonical != doc:
+    if not is_canonical(doc):
         raise ValueError(f"document {doc.doc_id} is not canonical; "
                          "run canonicalize_document first")
     lines = []

@@ -22,12 +22,21 @@ Sentence and token rules are deliberately simple and fully deterministic:
     '-', '_', '.', apostrophe or '+' flanked by alphanumerics on both sides;
     any other non-space character is a one-character token.
 
+Encoding is linear in document length up to logarithmic factors.  Tokens
+are indexed by start and end offset once per document; each keyphrase is
+then placed with one bisection over the sentence starts (and, when
+snapping, two over the tokens of its sentence).  A document of T tokens, K
+keyphrases and R relations costs O(T + K log K + R), plus one step per token
+of each placed span.  Sentence splitting is linear in the text.
+
 All functions are pure.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
+import operator
 import re
 from dataclasses import dataclass
 
@@ -117,9 +126,14 @@ def split_sentences(text: str) -> list[tuple[int, int]]:
     no sentences.
     """
     boundaries = []
+    n = len(text)
     for m in _SENTENCE_BREAK.finditer(text):
-        rest = text[m.end():].lstrip()
-        if rest and (rest[0].isupper() or rest[0].isdigit()):
+        # The whitespace run after a break ends before the next break starts,
+        # so these scans are disjoint and the whole loop is linear.
+        i = m.end()
+        while i < n and text[i].isspace():
+            i += 1
+        if i < n and (text[i].isupper() or text[i].isdigit()):
             boundaries.append(m.end())
     spans = []
     prev = 0
@@ -150,40 +164,56 @@ def tokenize_document(text: str) -> list[SentenceTokenization]:
     return result
 
 
+_token_start = operator.attrgetter("start")
+_token_end = operator.attrgetter("end")
+
+
+class _TokenIndex:
+    """Where each token starts and ends, indexed once per document."""
+
+    def __init__(self, tokenizations: list[SentenceTokenization]):
+        self.tokenizations = tokenizations
+        self.sentence_starts = [sent.sentence_start for sent in tokenizations]
+        # Tokens never overlap, so no two share a start or an end offset.
+        self.by_start: dict[int, tuple[int, int]] = {}
+        self.by_end: dict[int, tuple[int, int]] = {}
+        for s_idx, sent in enumerate(tokenizations):
+            for i, tok in enumerate(sent.tokens):
+                self.by_start[tok.start] = self.by_end[tok.end] = (s_idx, i)
+
+
 def _place_span(
-    start: int, end: int, tokenizations: list[SentenceTokenization]
+    start: int, end: int, index: _TokenIndex, snap: bool
 ) -> tuple[int, tuple[int, int]] | str:
     """Return (sentence index, token range) or a drop reason."""
-    for s_idx, sent in enumerate(tokenizations):
-        if sent.sentence_start <= start and end <= sent.sentence_end:
-            first = next(
-                (i for i, t in enumerate(sent.tokens) if t.start == start), None
-            )
-            last = next(
-                (i for i, t in enumerate(sent.tokens) if t.end == end), None
-            )
-            if first is not None and last is not None and first <= last:
-                return (s_idx, (first, last + 1))
-            return BOUNDARY_MISMATCH
-    return CROSSES_SENTENCE
+    # Sentences are disjoint, so only the last one starting at or before
+    # `start` can hold the span.
+    s_idx = bisect.bisect_right(index.sentence_starts, start) - 1
+    if s_idx < 0 or end > index.tokenizations[s_idx].sentence_end:
+        return CROSSES_SENTENCE
+    first = index.by_start.get(start)
+    last = index.by_end.get(end)
+    if first and last and first[0] == last[0] == s_idx and first[1] <= last[1]:
+        return (s_idx, (first[1], last[1] + 1))
+    if snap:
+        return _snap_span(start, end, s_idx, index)
+    return BOUNDARY_MISMATCH
 
 
 def _snap_span(
-    start: int, end: int, tokenizations: list[SentenceTokenization]
+    start: int, end: int, s_idx: int, index: _TokenIndex
 ) -> tuple[int, tuple[int, int]] | str:
-    """Expand a span outward to the boundaries of every token it touches."""
-    hits = [
-        (s_idx, i)
-        for s_idx, sent in enumerate(tokenizations)
-        for i, t in enumerate(sent.tokens)
-        if t.end > start and t.start < end
-    ]
-    if not hits:
+    """Expand a span inside sentence `s_idx` to every token it touches.
+
+    Tokens lie inside their sentence's span, so a span inside one sentence
+    touches no token of another.
+    """
+    tokens = index.tokenizations[s_idx].tokens
+    first = bisect.bisect_right(tokens, start, key=_token_end)
+    last = bisect.bisect_left(tokens, end, key=_token_start)
+    if first >= last:
         return BOUNDARY_MISMATCH
-    if len({s_idx for s_idx, _ in hits}) > 1:
-        return CROSSES_SENTENCE
-    s_idx = hits[0][0]
-    return (s_idx, (hits[0][1], hits[-1][1] + 1))
+    return (s_idx, (first, last))
 
 
 def encode_document(
@@ -206,18 +236,18 @@ def encode_document(
     drops the later relation with reason CELL_CONFLICT.
     """
     tokenizations = tokenize_document(doc.text)
+    index = _TokenIndex(tokenizations)
     outcome = AlignmentOutcome()
     by_id = doc.keyphrase_by_id()
     for kp in doc.keyphrases:
-        placed = _place_span(kp.start, kp.end, tokenizations)
-        if placed == BOUNDARY_MISMATCH and snap:
-            placed = _snap_span(kp.start, kp.end, tokenizations)
+        placed = _place_span(kp.start, kp.end, index, snap)
         if isinstance(placed, str):
             outcome.dropped_spans.append((kp.id, placed))
         else:
             outcome.aligned[kp.id] = placed
 
     _resolve_overlaps(by_id, outcome)
+    encodable: list[Relation] = []
     for rel in doc.relations:
         a1 = outcome.aligned.get(rel.arg1)
         a2 = outcome.aligned.get(rel.arg2)
@@ -225,31 +255,21 @@ def encode_document(
             outcome.dropped_relations.append((rel, ARGUMENT_DROPPED))
         elif a1[0] != a2[0]:
             outcome.dropped_relations.append((rel, CROSS_SENTENCE_RELATION))
+        else:
+            encodable.append(rel)
 
-    sequences = [
-        LabeledSequence(
-            tokenization=sent,
-            labels_a=tuple(["O"] * len(sent.tokens)),
-            labels_b=tuple(["O"] * len(sent.tokens)),
-        )
-        for sent in tokenizations
-    ]
+    # Aligned spans no longer overlap, so each label is written at most once.
+    labels_a = [["O"] * len(sent.tokens) for sent in tokenizations]
+    labels_b = [["O"] * len(sent.tokens) for sent in tokenizations]
     for kp_id, (s_idx, (first, last)) in outcome.aligned.items():
-        seq = sequences[s_idx]
-        a = list(seq.labels_a)
-        b = list(seq.labels_b)
-        a[first] = "B"
-        for i in range(first + 1, last):
-            a[i] = "I"
-        letter = by_id[kp_id].ktype.letter
-        for i in range(first, last):
-            b[i] = letter
-        sequences[s_idx] = dataclasses.replace(seq, labels_a=tuple(a), labels_b=tuple(b))
+        labels_a[s_idx][first:last] = ["B"] + ["I"] * (last - first - 1)
+        labels_b[s_idx][first:last] = [by_id[kp_id].ktype.letter] * (last - first)
+    sequences = [
+        LabeledSequence(sent, tuple(a), tuple(b))
+        for sent, a, b in zip(tokenizations, labels_a, labels_b)
+    ]
 
-    dropped = {rel for rel, _ in outcome.dropped_relations}
-    for rel in doc.relations:
-        if rel in dropped:
-            continue
+    for rel in encodable:
         s_idx, (h1, _) = outcome.aligned[rel.arg1]
         _, (h2, _) = outcome.aligned[rel.arg2]
         cells = sequences[s_idx].relations

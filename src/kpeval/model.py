@@ -290,11 +290,19 @@ def canonical_form(doc: Document) -> Document:
             a1, a2 = a2, a1
         relations.add(Relation(rel.rtype, a1, a2))
 
-    rel_order = sorted(
-        relations,
-        key=lambda r: (r.rtype.value, span_of[r.arg1], span_of[r.arg2]),
-    )
+    # Two keyphrases may share a span and differ in type, so the sort key
+    # needs the full argument key: on a tie the order would follow set
+    # iteration, which depends on the hash seed.
+    rel_order = sorted(relations, key=lambda r: _relation_sort_key(r, span_of))
     return Document(doc.doc_id, doc.text, keyphrases, tuple(rel_order))
+
+
+def _relation_sort_key(rel: Relation, span_of: dict[str, tuple[int, int]]) -> tuple:
+    return (
+        rel.rtype.value,
+        _arg_sort_key(rel.arg1, span_of),
+        _arg_sort_key(rel.arg2, span_of),
+    )
 
 
 def _arg_sort_key(arg_id: str, span_of: dict[str, tuple[int, int]]) -> tuple:
@@ -302,6 +310,43 @@ def _arg_sort_key(arg_id: str, span_of: dict[str, tuple[int, int]]) -> tuple:
     # Identical spans can only differ in type; canonical ids are assigned in
     # type order, so the id itself is a stable final tie-break.
     return (start, end, int(arg_id[1:]))
+
+
+def is_canonical(doc: Document) -> bool:
+    """Whether `doc` validates and is already in canonical form.
+
+    Checks in one pass what `canonicalize_document` would establish: every
+    span in bounds and equal to its text slice, keyphrases strictly
+    increasing by (start, end, type) and numbered T1..Tn in that order, every
+    relation between two distinct existing keyphrases, each Synonym-of
+    ordered by argument key, and relations strictly increasing by the
+    canonical sort key (so none repeats).  Equivalent to
+    `validate_document(doc).ok and canonical_form(doc) == doc`.
+    """
+    n = len(doc.text)
+    span_of: dict[str, tuple[int, int]] = {}
+    prev_kp: tuple | None = None
+    for i, kp in enumerate(doc.keyphrases, 1):
+        key = kp.sort_key()
+        if kp.id != f"T{i}" or not (0 <= kp.start < kp.end <= n):
+            return False
+        if kp.surface != doc.text[kp.start : kp.end]:
+            return False
+        if prev_kp is not None and key <= prev_kp:
+            return False
+        prev_kp = key
+        span_of[kp.id] = (kp.start, kp.end)
+    prev_rel: tuple | None = None
+    for rel in doc.relations:
+        if rel.arg1 == rel.arg2 or rel.arg1 not in span_of or rel.arg2 not in span_of:
+            return False
+        key = _relation_sort_key(rel, span_of)
+        if rel.rtype is RelationType.SYNONYM_OF and key[2] < key[1]:
+            return False
+        if prev_rel is not None and key <= prev_rel:
+            return False
+        prev_rel = key
+    return True
 
 
 def drop_invalid(doc: Document) -> tuple[Document, list[str]]:

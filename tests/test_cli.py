@@ -297,3 +297,53 @@ def test_score_validates_each_loaded_document_once(corpus_dir, monkeypatch):
     assert code == 0
     doc_ids = sorted(p.stem for p in corpus_dir.glob("*.ann"))
     assert sorted(calls) == sorted(doc_ids * 2)  # each gold and each prediction file
+
+
+def _two_document_corpus(tmp_path):
+    gold = tmp_path / "gold"
+    gold.mkdir()
+    for stem in ("a", "b"):
+        (gold / f"{stem}.txt").write_text("Graphene conducts heat.", encoding="utf-8")
+        (gold / f"{stem}.ann").write_text("T1\tMaterial 0 8\tGraphene\n", encoding="utf-8")
+    return gold
+
+
+def test_bom_prefixed_ann_loads_as_gold_and_as_prediction(tmp_path, capsys):
+    gold = _two_document_corpus(tmp_path)
+    pred = tmp_path / "pred"
+    pred.mkdir()
+    (pred / "b.ann").write_text("T1\tMaterial 0 8\tGraphene\n", encoding="utf-8")
+    for d in (gold, pred):
+        (d / "a.ann").write_text("\ufeffT1\tMaterial 0 8\tGraphene\n", encoding="utf-8")
+    assert run_cli(["validate", str(gold)]) == 0
+    captured = capsys.readouterr()
+    assert "errors:    0" in captured.out and captured.err == ""
+    assert run_cli(["score", "--scenario", "1", "--gold", str(gold),
+                    "--pred", str(pred), "--json"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["overall"]["f1"] == 1.0
+    assert captured.err == ""
+
+
+def test_diagnostics_name_their_document(tmp_path, capsys):
+    gold = _two_document_corpus(tmp_path)
+    clean, dangling = tmp_path / "clean", tmp_path / "dangling"
+    for d, extra in ((clean, ""), (dangling, "R1\tHyponym-of Arg1:T1 Arg2:T77\n")):
+        d.mkdir()
+        for stem in ("a", "b"):
+            (d / f"{stem}.ann").write_text(
+                f"T1\tMaterial 0 8\tGraphene\n{extra}", encoding="utf-8")
+    (dangling / "b.ann").write_text(
+        (dangling / "b.ann").read_text(encoding="utf-8") + "X9\tjunk\n", encoding="utf-8")
+    argv = ["score", "--scenario", "1", "--gold", str(gold)]
+    assert run_cli(argv + ["--pred", str(clean)]) == 0
+    clean_out = capsys.readouterr().out
+    assert run_cli(argv + ["--pred", str(dangling)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == clean_out
+    errors = [line for line in captured.err.splitlines() if line.startswith("ERROR")]
+    assert errors == [
+        "ERROR   [DANGLING_ARGUMENT] a: Hyponym-of(T1, T77): no keyphrase T77",
+        "ERROR   [MALFORMED_LINE] b.ann line 3: unknown leading sigil 'X9'",
+        "ERROR   [DANGLING_ARGUMENT] b: Hyponym-of(T1, T77): no keyphrase T77",
+    ]

@@ -1,4 +1,6 @@
 import random
+import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -20,13 +22,16 @@ from kpeval import (
     tokenize,
 )
 from kpeval.codec import (
+    ARGUMENT_DROPPED,
     BOUNDARY_MISMATCH,
     CELL_CONFLICT,
     CROSS_SENTENCE_RELATION,
     CROSSES_SENTENCE,
     OVERLAP,
+    AlignmentOutcome,
     SentenceTokenization,
     Token,
+    _resolve_overlaps,
     check_sequence,
     sequences_from_tsv,
     sequences_to_tsv,
@@ -432,3 +437,242 @@ def test_tsv_malformed_line_names_file_and_line():
         sequences_from_tsv(content, "doc.seq")
     assert (info.value.filename, info.value.lineno) == ("doc.seq", 4)
     assert str(info.value).startswith("doc.seq line 4: bad #REL line")
+
+
+# --- the codec against its quadratic reference ----------------------------
+# The straightforward algorithms below define the codec's output exactly:
+# every keyphrase scans every sentence, snapping scans every token of the
+# document, and splitting re-slices the text after each break.  They are
+# quadratic in document length, so they only run on small documents.
+
+
+def _reference_split_sentences(text):
+    boundaries = []
+    for m in re.finditer(r"[.!?][\)\]\}\"'’”]*(?=\s)", text):
+        rest = text[m.end():].lstrip()
+        if rest and (rest[0].isupper() or rest[0].isdigit()):
+            boundaries.append(m.end())
+    spans = []
+    prev = 0
+    for b in boundaries + [len(text)]:
+        chunk = text[prev:b]
+        stripped = chunk.strip()
+        if stripped:
+            lead = len(chunk) - len(chunk.lstrip())
+            spans.append((prev + lead, prev + lead + len(stripped)))
+        prev = b
+    return spans
+
+
+def _reference_tokenize_document(text):
+    return [
+        SentenceTokenization(s, e, tuple(tokenize(text, (s, e))))
+        for s, e in _reference_split_sentences(text)
+    ]
+
+
+def _reference_place_span(start, end, tokenizations):
+    for s_idx, sent in enumerate(tokenizations):
+        if sent.sentence_start <= start and end <= sent.sentence_end:
+            first = next((i for i, t in enumerate(sent.tokens) if t.start == start), None)
+            last = next((i for i, t in enumerate(sent.tokens) if t.end == end), None)
+            if first is not None and last is not None and first <= last:
+                return (s_idx, (first, last + 1))
+            return BOUNDARY_MISMATCH
+    return CROSSES_SENTENCE
+
+
+def _reference_snap_span(start, end, tokenizations):
+    hits = [
+        (s_idx, i)
+        for s_idx, sent in enumerate(tokenizations)
+        for i, t in enumerate(sent.tokens)
+        if t.end > start and t.start < end
+    ]
+    if not hits:
+        return BOUNDARY_MISMATCH
+    if len({s_idx for s_idx, _ in hits}) > 1:
+        return CROSSES_SENTENCE
+    return (hits[0][0], (hits[0][1], hits[-1][1] + 1))
+
+
+def _reference_encode(doc, snap):
+    tokenizations = _reference_tokenize_document(doc.text)
+    outcome = AlignmentOutcome()
+    by_id = doc.keyphrase_by_id()
+    for kp in doc.keyphrases:
+        placed = _reference_place_span(kp.start, kp.end, tokenizations)
+        if placed == BOUNDARY_MISMATCH and snap:
+            placed = _reference_snap_span(kp.start, kp.end, tokenizations)
+        if isinstance(placed, str):
+            outcome.dropped_spans.append((kp.id, placed))
+        else:
+            outcome.aligned[kp.id] = placed
+    _resolve_overlaps(by_id, outcome)
+    for rel in doc.relations:
+        a1 = outcome.aligned.get(rel.arg1)
+        a2 = outcome.aligned.get(rel.arg2)
+        if a1 is None or a2 is None:
+            outcome.dropped_relations.append((rel, ARGUMENT_DROPPED))
+        elif a1[0] != a2[0]:
+            outcome.dropped_relations.append((rel, CROSS_SENTENCE_RELATION))
+    sequences = [
+        LabeledSequence(sent, ("O",) * len(sent.tokens), ("O",) * len(sent.tokens))
+        for sent in tokenizations
+    ]
+    for kp_id, (s_idx, (first, last)) in outcome.aligned.items():
+        seq = sequences[s_idx]
+        a, b = list(seq.labels_a), list(seq.labels_b)
+        a[first] = "B"
+        for i in range(first + 1, last):
+            a[i] = "I"
+        for i in range(first, last):
+            b[i] = by_id[kp_id].ktype.letter
+        sequences[s_idx] = LabeledSequence(seq.tokenization, tuple(a), tuple(b), seq.relations)
+    dropped = {rel for rel, _ in outcome.dropped_relations}
+    for rel in doc.relations:
+        if rel in dropped:
+            continue
+        s_idx, (h1, _) = outcome.aligned[rel.arg1]
+        _, (h2, _) = outcome.aligned[rel.arg2]
+        cells = sequences[s_idx].relations
+        if rel.rtype is R.HYPONYM_OF:
+            wanted = {(h1, h2): "H"}
+        else:
+            wanted = {(h1, h2): "S", (h2, h1): "S"}
+        if any(cells.get(pos, wanted[pos]) != wanted[pos] for pos in wanted):
+            outcome.dropped_relations.append((rel, CELL_CONFLICT))
+            continue
+        cells.update(wanted)
+    return sequences, outcome
+
+
+def _assert_encodes_like_reference(doc, snap):
+    sequences, outcome = encode_document(doc, snap)
+    want_sequences, want = _reference_encode(doc, snap)
+    assert sequences == want_sequences
+    assert list(outcome.aligned.items()) == list(want.aligned.items())
+    assert outcome.dropped_spans == want.dropped_spans
+    assert outcome.dropped_relations == want.dropped_relations
+    return outcome
+
+
+# Words, joined tokens, lone punctuation, sentence ends with closing quotes
+# and brackets, and whitespace runs of every kind, concatenated at random.
+_PIECES = (
+    "Alpha", "beta", "Gamma", "ConLL-2003", "x+y", "e'f", "7", "9.5", "NER",
+    "façade", "Ωmega", "(", ")", ",", ".", "!", "?", ".)", '."', ".’", "!”",
+)
+_GAPS = (" ", "  ", "\n", "\t", "\u00a0", "\u2003", " " * 40, "\n \n\t ")
+
+
+@st.composite
+def _texts(draw):
+    pieces = st.one_of(st.sampled_from(_PIECES), st.sampled_from(_GAPS))
+    return "".join(draw(st.lists(pieces, max_size=40)))
+
+
+@st.composite
+def _encodable_documents(draw):
+    """Canonical documents whose spans land anywhere in the text.
+
+    Half the spans start at a token start, possibly shifted one character
+    into the token, and end at a token end; the rest are arbitrary, so they
+    start in whitespace, cross sentences or cover only whitespace.
+    """
+    text = draw(_texts())
+    tokens = [t for sent in _reference_tokenize_document(text) for t in sent.tokens]
+    keyphrases = []
+    for i in range(draw(st.integers(0, 12)) if text else 0):
+        if tokens and draw(st.booleans()):
+            start = draw(st.sampled_from(tokens)).start + draw(st.sampled_from((0, 0, 1)))
+            end = draw(st.sampled_from(tokens)).end
+        else:
+            start = draw(st.integers(0, len(text) - 1))
+            end = draw(st.integers(start + 1, len(text)))
+        if start < end:
+            keyphrases.append((f"T{i + 1}", draw(st.sampled_from(list(K))), start, end))
+    ids = [kp[0] for kp in keyphrases]
+    relations = []
+    if len(ids) > 1:
+        pairs = st.tuples(st.sampled_from(list(R)), st.sampled_from(ids), st.sampled_from(ids))
+        relations = [r for r in draw(st.lists(pairs, max_size=10)) if r[1] != r[2]]
+    return canonicalize_document(make_document("d", text, keyphrases, relations))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_encodable_documents(), st.booleans())
+def test_encode_equals_reference_algorithm(doc, snap):
+    _assert_encodes_like_reference(doc, snap)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_texts(), st.text()))
+def test_split_sentences_equals_reference_algorithm(text):
+    assert split_sentences(text) == _reference_split_sentences(text)
+
+
+def test_encode_equals_reference_on_every_placement_case():
+    text = "Alpha beta-gamma.\u00a0" + " " * 50 + "Delta (eps). 9 zeta?\n\n   Eta."
+    spans = [
+        (0, 5),    # aligned
+        (1, 5),    # shifted one character into its token
+        (6, 10),   # ends inside the joined token "beta-gamma"
+        (5, 6),    # whitespace only
+        (17, 73),  # starts in the whitespace between sentences
+        (11, 76),  # crosses sentences
+        (68, 73),  # Delta, in the second sentence
+        (75, 78),  # eps
+        (84, 88),  # from inside "zeta" to the end of "?"
+    ]
+    doc = canonicalize_document(make_document(
+        "d", text,
+        [(f"T{i}", K.TASK, s, e) for i, (s, e) in enumerate(spans, 1)],
+        [(R.HYPONYM_OF, "T7", "T8"), (R.SYNONYM_OF, "T1", "T2"), (R.HYPONYM_OF, "T1", "T7")],
+    ))
+    reasons = set()
+    for snap in (False, True):
+        outcome = _assert_encodes_like_reference(doc, snap)
+        reasons |= {why for _, why in outcome.dropped_spans}
+        reasons |= {why for _, why in outcome.dropped_relations}
+    assert {BOUNDARY_MISMATCH, CROSSES_SENTENCE, OVERLAP, CROSS_SENTENCE_RELATION} <= reasons
+
+
+def _long_document(n_sentences):
+    """Sentences of 15 words with four spans each, every other one shifted
+    one character into its first token, and one relation per sentence."""
+    rng = random.Random(3)
+    words = "alloy beam core decay field flux grid lattice matrix mesh node phase".split()
+    sentences, keyphrases, relations = [], [], []
+    pos = 0
+    for s in range(n_sentences):
+        sentence = [rng.choice(words) for _ in range(15)]
+        sentence[0] = sentence[0].capitalize()
+        offsets = []
+        for w in sentence:
+            offsets.append(pos)
+            pos += len(w) + 1
+        pos += 1  # the '.' replaces the last space, then one space
+        sentences.append(" ".join(sentence) + ".")
+        for j, (first, last) in enumerate(((0, 1), (4, 4), (7, 9), (12, 12))):
+            shift = j % 2
+            start = offsets[first] + shift
+            end = offsets[last] + len(sentence[last])
+            keyphrases.append((f"T{4 * s + j + 1}", K.MATERIAL, start, end))
+        relations.append((R.HYPONYM_OF, f"T{4 * s + 1}", f"T{4 * s + 3}"))
+    text = " ".join(sentences)
+    return canonicalize_document(make_document("long", text, keyphrases, relations))
+
+
+@pytest.mark.parametrize("snap", [False, True])
+def test_encode_cost_grows_linearly_with_sentences(snap):
+    def best_of_3(doc):
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            encode_document(doc, snap)
+            times.append(time.perf_counter() - t0)
+        return min(times)
+
+    small, large = _long_document(100), _long_document(800)
+    assert best_of_3(large) <= 20 * best_of_3(small)

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +19,7 @@ from kpeval import (
     make_document,
     validate_document,
 )
-from kpeval.model import drop_invalid
+from kpeval.model import canonical_form, drop_invalid, is_canonical
 
 K = KeyphraseType
 R = RelationType
@@ -297,3 +301,130 @@ def test_drop_invalid_output_always_validates(doc):
     assert drop_invalid(clean) == (clean, [])
     if validate_document(doc).ok:
         assert (clean, dropped) == (doc, [])
+
+
+# --- canonical order and the canonical-form check --------------------------
+
+# Two spans, each annotated twice with different types, so that a relation
+# sort key made of spans alone ties.
+_TIED_TEXT = "graphene sheets of carbon atoms"
+_TIED_KEYPHRASES = [
+    ("T1", K.MATERIAL, 0, 8), ("T2", K.PROCESS, 0, 8),
+    ("T3", K.MATERIAL, 19, 25), ("T4", K.PROCESS, 19, 25),
+]
+_TIED_RELATIONS = [
+    (R.HYPONYM_OF, "T1", "T3"), (R.HYPONYM_OF, "T2", "T4"),
+    (R.HYPONYM_OF, "T1", "T4"), (R.HYPONYM_OF, "T2", "T3"),
+    (R.SYNONYM_OF, "T3", "T1"), (R.SYNONYM_OF, "T2", "T4"),
+]
+
+_TIED_ANN = "".join(
+    [f"{i}\t{t.value} {s} {e}\t{_TIED_TEXT[s:e]}\n" for i, t, s, e in _TIED_KEYPHRASES]
+    + [f"R{n}\tHyponym-of Arg1:{a} Arg2:{b}\n"
+       for n, (_, a, b) in enumerate(_TIED_RELATIONS[:4], 1)]
+    + [f"*\tSynonym-of {a} {b}\n" for _, a, b in _TIED_RELATIONS[4:]]
+)
+
+_PRINT_TIED = f"""
+from kpeval import canonicalize_document, parse_document_pair, serialize_annotations
+doc, _ = parse_document_pair("d", {_TIED_TEXT!r}, {_TIED_ANN!r})
+print(serialize_annotations(canonicalize_document(doc)), end="")
+"""
+
+
+def test_canonical_relation_order_does_not_depend_on_the_hash_seed():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = set()
+    for seed in ("1", "2", "3", "4"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", _PRINT_TIED], env=env,
+                             capture_output=True, text=True, timeout=60, check=True)
+        outputs.add(run.stdout)
+    assert len(outputs) == 1
+    (ann,) = outputs
+    assert ann.count("Hyponym-of") == 4 and ann.count("Synonym-of") == 2
+
+
+@settings(max_examples=50)
+@given(st.permutations(_TIED_RELATIONS))
+def test_canonical_form_ignores_relation_order_under_span_ties(relations):
+    want = canonicalize_document(make_document("d", _TIED_TEXT, _TIED_KEYPHRASES, _TIED_RELATIONS))
+    got = canonicalize_document(make_document("d", _TIED_TEXT, _TIED_KEYPHRASES, relations))
+    assert got == want
+
+
+def _reference_is_canonical(doc):
+    return validate_document(doc).ok and canonical_form(doc) == doc
+
+
+@st.composite
+def _canonical_document(draw, least=0):
+    """A valid document over a few spans, so that spans and types repeat;
+    `least` raises the lower bound on the number of annotations drawn."""
+    spans = st.sampled_from([(0, 5), (0, 10), (6, 10), (11, 16), (2, 3)])
+    keyphrases = [
+        (f"T{i}", draw(st.sampled_from(K)), *draw(spans))
+        for i in range(1, draw(st.integers(least, 6)) + 1)
+    ]
+    relations = []
+    if len(keyphrases) > 1:
+        ids = st.sampled_from([kp[0] for kp in keyphrases])
+        pairs = st.lists(st.tuples(st.sampled_from(R), ids, ids), min_size=least, max_size=8)
+        relations = [r for r in draw(pairs) if r[1] != r[2]]
+    return canonicalize_document(make_document("d", _TEXT, keyphrases, relations))
+
+
+@st.composite
+def _near_canonical_document(draw):
+    """A canonical document with one of its canonical conditions broken."""
+    doc = draw(_canonical_document(least=3).filter(lambda d: len(d.relations) > 1))
+    kps, rels = list(doc.keyphrases), list(doc.relations)
+    i = draw(st.integers(0, len(kps) - 2))  # a keyphrase with a successor
+    j = draw(st.integers(0, len(rels) - 2))  # a relation with a successor
+    r = draw(st.integers(0, len(rels) - 1))  # any relation
+    kp, rel = kps[i], rels[r]
+    edit = draw(st.sampled_from(
+        ["swap_kps", "repeat_kp", "renumber", "surface", "bounds",
+         "swap_rels", "flip", "repeat_rel", "self", "dangle"]
+    ))
+    if edit == "swap_kps":
+        kps[i], kps[i + 1] = kps[i + 1], kp
+    elif edit == "repeat_kp":
+        kps[i + 1] = Keyphrase(kps[i + 1].id, kp.ktype, kp.start, kp.end, kp.surface)
+    elif edit == "renumber":
+        kps[i] = Keyphrase(f"T{len(kps) + 1}", kp.ktype, kp.start, kp.end, kp.surface)
+    elif edit == "surface":
+        kps[i] = Keyphrase(kp.id, kp.ktype, kp.start, kp.end, kp.surface + "x")
+    elif edit == "bounds":  # the surface still equals the (truncated) text slice
+        last = kps[-1]
+        kps[-1] = Keyphrase(last.id, last.ktype, last.start, len(_TEXT) + 1, _TEXT[last.start :])
+    elif edit == "swap_rels":
+        rels[j], rels[j + 1] = rels[j + 1], rels[j]
+    elif edit == "repeat_rel":
+        rels[j + 1] = rels[j]
+    elif edit == "flip":  # Synonym-of sorts last, so this flips one if any exists
+        rels[-1] = Relation(rels[-1].rtype, rels[-1].arg2, rels[-1].arg1)
+    elif edit == "self":
+        rels[r] = Relation(rel.rtype, rel.arg1, rel.arg1)
+    else:
+        rels[r] = Relation(rel.rtype, rel.arg1, f"T{len(kps) + 1}")
+    return Document(doc.doc_id, doc.text, tuple(kps), tuple(rels))
+
+
+@settings(max_examples=200)
+@given(st.one_of(_ANY_DOCUMENT, _canonical_document()))
+def test_is_canonical_agrees_with_validate_and_canonical_form(doc):
+    assert is_canonical(doc) == _reference_is_canonical(doc)
+
+
+@settings(max_examples=200)
+@given(_near_canonical_document())
+def test_is_canonical_rejects_what_canonical_form_would_change(doc):
+    assert is_canonical(doc) == _reference_is_canonical(doc)
+
+
+def test_is_canonical_on_the_tied_document():
+    doc = canonicalize_document(make_document("d", _TIED_TEXT, _TIED_KEYPHRASES, _TIED_RELATIONS))
+    assert is_canonical(doc)
+    rels = doc.relations
+    assert not is_canonical(Document("d", doc.text, doc.keyphrases, rels[1:2] + rels[:1]))
