@@ -30,7 +30,6 @@ from .model import (
     TYPE_PRIORITY,
     Document,
     KeyphraseType,
-    canonicalize_document,
     make_document,
 )
 from .scoring import Scenario, ScoreReport, score_scenario
@@ -189,31 +188,42 @@ def gazetteer_build(train: Corpus) -> Gazetteer:
 def gazetteer_predict(gaz: Gazetteer, texts: Corpus) -> Corpus:
     """Longest-match, left-to-right, non-overlapping lookup at token boundaries.
 
-    Matches become keyphrases of the stored type; no relations are predicted.
-    A surface absent from the training set can never be produced.
+    One forward pass: from each start token a single candidate grows a token
+    at a time, casefolded tokens joined by " " across a gap and by "" where
+    they touch.  Tokens cover every non-whitespace character, so the
+    candidate equals `normalize_surface` of the text it spans, and the last
+    hit within `max_tokens` tokens is the longest match.  Matches become
+    keyphrases of the stored type, numbered in text order; they never
+    overlap, so the output is canonical by construction.  No relations are
+    predicted, and a surface absent from the training set can never be
+    produced.
     """
     documents = {}
     for doc in texts:
         tokens = [t for sent in tokenize_document(doc.text) for t in sent.tokens]
+        folded = [t.text.casefold() for t in tokens]
+        # Token j as it extends a candidate: after one space where whitespace
+        # separates it from token j - 1.
+        extend = [
+            " " + f if j and tokens[j].start > tokens[j - 1].end else f
+            for j, f in enumerate(folded)
+        ]
         spans: list[tuple[str, KeyphraseType, int, int]] = []
         i = 0
-        count = 0
         while i < len(tokens):
             hit = None
-            for j in range(min(len(tokens), i + gaz.max_tokens) - 1, i - 1, -1):
-                candidate = doc.text[tokens[i].start : tokens[j].end]
-                entry = gaz.entries.get(normalize_surface(candidate))
+            candidate = folded[i]
+            for j in range(i, min(len(tokens), i + gaz.max_tokens)):
+                if j > i:
+                    candidate += extend[j]
+                entry = gaz.entries.get(candidate)
                 if entry is not None:
                     hit = (j, entry[0])
-                    break
             if hit is None:
                 i += 1
             else:
                 j, ktype = hit
-                count += 1
-                spans.append((f"T{count}", ktype, tokens[i].start, tokens[j].end))
+                spans.append((f"T{len(spans) + 1}", ktype, tokens[i].start, tokens[j].end))
                 i = j + 1
-        documents[doc.doc_id] = canonicalize_document(
-            make_document(doc.doc_id, doc.text, spans)
-        )
+        documents[doc.doc_id] = make_document(doc.doc_id, doc.text, spans)
     return Corpus(documents)

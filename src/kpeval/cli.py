@@ -269,6 +269,8 @@ def cmd_baseline(args: argparse.Namespace) -> int:
             return _usage_error("--kind gazetteer requires --train")
         train_raw, train_report = brat.load_corpus(args.train)
         _print_report_entries(train_report)
+        if not len(train_raw):
+            return _usage_error(f"no .txt/.ann pairs in {args.train}")
         gaz = baselines.gazetteer_build(_prepare_corpus(train_raw))
         predicted = baselines.gazetteer_predict(gaz, corpus)
 

@@ -259,57 +259,57 @@ def canonical_form(doc: Document) -> Document:
     """`canonicalize_document` for a document known to validate, unchecked.
 
     For callers that hold the output of `drop_invalid`, which is valid by
-    construction.  An invalid document gives undefined results.
+    construction.  An invalid document gives undefined results.  Nothing
+    already canonical is rebuilt: a keyphrase whose id is already its
+    canonical id, and a relation whose arguments are, come back as the same
+    objects, so a canonical document costs one pass and no copies.
     """
-    # Merge duplicate spans, keeping one representative per (start, end, type).
-    merged: dict[tuple[int, int, KeyphraseType], Keyphrase] = {}
-    remap: dict[str, tuple[int, int, KeyphraseType]] = {}
+    # Merge duplicate spans, keeping one representative per sort key.
+    merged: dict[tuple, Keyphrase] = {}
+    key_of: dict[str, tuple] = {}  # keyphrase id -> its sort key
     for kp in doc.keyphrases:
-        key = (kp.start, kp.end, kp.ktype)
+        key = kp.sort_key()
         merged.setdefault(key, kp)
-        remap[kp.id] = key
+        key_of[kp.id] = key
 
-    ordered = sorted(merged.values(), key=Keyphrase.sort_key)
-    new_ids = {(kp.start, kp.end, kp.ktype): f"T{i}" for i, kp in enumerate(ordered, 1)}
-    keyphrases = tuple(
-        dataclasses.replace(kp, id=new_ids[(kp.start, kp.end, kp.ktype)])
-        for kp in ordered
-    )
-    span_of = {new_ids[key]: key[:2] for key in new_ids}
+    keyphrases: list[Keyphrase] = []
+    # Sort key -> argument key (start, end, i) of the canonical keyphrase Ti.
+    # Two keyphrases may share a span and differ in type; canonical ids are
+    # assigned in type order, so i breaks the tie.
+    arg_key: dict[tuple, tuple[int, int, int]] = {}
+    for i, key in enumerate(sorted(merged), 1):
+        kp = merged[key]
+        kid = f"T{i}"
+        if kp.id != kid:
+            kp = Keyphrase(kid, kp.ktype, kp.start, kp.end, kp.surface)
+        keyphrases.append(kp)
+        arg_key[key] = (kp.start, kp.end, i)
 
-    relations: set[Relation] = set()
+    # Keyed by the canonical sort key (type, argument key, argument key), which
+    # determines the relation, so sorting the keys orders the relations
+    # independently of the hash seed.
+    relations: dict[tuple, Relation] = {}
     for rel in doc.relations:
-        a1 = new_ids[remap[rel.arg1]]
-        a2 = new_ids[remap[rel.arg2]]
-        if a1 == a2:
+        k1 = arg_key[key_of[rel.arg1]]
+        k2 = arg_key[key_of[rel.arg2]]
+        if k1 == k2:
             # Both arguments merged into one keyphrase; the relation degenerates.
             continue
-        if rel.rtype is RelationType.SYNONYM_OF and _arg_sort_key(
-            a2, span_of
-        ) < _arg_sort_key(a1, span_of):
-            a1, a2 = a2, a1
-        relations.add(Relation(rel.rtype, a1, a2))
-
-    # Two keyphrases may share a span and differ in type, so the sort key
-    # needs the full argument key: on a tie the order would follow set
-    # iteration, which depends on the hash seed.
-    rel_order = sorted(relations, key=lambda r: _relation_sort_key(r, span_of))
-    return Document(doc.doc_id, doc.text, keyphrases, tuple(rel_order))
-
-
-def _relation_sort_key(rel: Relation, span_of: dict[str, tuple[int, int]]) -> tuple:
-    return (
-        rel.rtype.value,
-        _arg_sort_key(rel.arg1, span_of),
-        _arg_sort_key(rel.arg2, span_of),
+        if k2 < k1 and rel.rtype is RelationType.SYNONYM_OF:
+            k1, k2 = k2, k1
+        key = (rel.rtype.value, k1, k2)
+        if key not in relations:
+            # Share the keyphrases' id strings rather than format new ones.
+            a1, a2 = keyphrases[k1[2] - 1].id, keyphrases[k2[2] - 1].id
+            if (rel.arg1, rel.arg2) != (a1, a2):
+                rel = Relation(rel.rtype, a1, a2)
+            relations[key] = rel
+    return Document(
+        doc.doc_id,
+        doc.text,
+        tuple(keyphrases),
+        tuple(relations[key] for key in sorted(relations)),
     )
-
-
-def _arg_sort_key(arg_id: str, span_of: dict[str, tuple[int, int]]) -> tuple:
-    start, end = span_of[arg_id]
-    # Identical spans can only differ in type; canonical ids are assigned in
-    # type order, so the id itself is a stable final tie-break.
-    return (start, end, int(arg_id[1:]))
 
 
 def is_canonical(doc: Document) -> bool:
@@ -324,7 +324,7 @@ def is_canonical(doc: Document) -> bool:
     `validate_document(doc).ok and canonical_form(doc) == doc`.
     """
     n = len(doc.text)
-    span_of: dict[str, tuple[int, int]] = {}
+    arg_key: dict[str, tuple[int, int, int]] = {}
     prev_kp: tuple | None = None
     for i, kp in enumerate(doc.keyphrases, 1):
         key = kp.sort_key()
@@ -335,12 +335,12 @@ def is_canonical(doc: Document) -> bool:
         if prev_kp is not None and key <= prev_kp:
             return False
         prev_kp = key
-        span_of[kp.id] = (kp.start, kp.end)
+        arg_key[kp.id] = (kp.start, kp.end, i)
     prev_rel: tuple | None = None
     for rel in doc.relations:
-        if rel.arg1 == rel.arg2 or rel.arg1 not in span_of or rel.arg2 not in span_of:
+        if rel.arg1 == rel.arg2 or rel.arg1 not in arg_key or rel.arg2 not in arg_key:
             return False
-        key = _relation_sort_key(rel, span_of)
+        key = (rel.rtype.value, arg_key[rel.arg1], arg_key[rel.arg2])
         if rel.rtype is RelationType.SYNONYM_OF and key[2] < key[1]:
             return False
         if prev_rel is not None and key <= prev_rel:

@@ -193,14 +193,17 @@ def synth_document(
 
     rels = []
     # Annotation guidelines restrict relations to same-type mentions in the
-    # same sentence; generated corpora follow suit.
+    # same sentence; generated corpora follow suit.  Candidates are listed in
+    # the order of a loop over all ordered pairs (ids compare as strings), but
+    # each mention is paired only within its (sentence, type) group.
+    groups: dict[tuple, list[str]] = {}
+    for kp_id in mention_sentence:
+        groups.setdefault((mention_sentence[kp_id], mention_type[kp_id]), []).append(kp_id)
     candidates = [
         (a, b)
         for a in mention_sentence
-        for b in mention_sentence
+        for b in groups[(mention_sentence[a], mention_type[a])]
         if a < b
-        and mention_sentence[a] == mention_sentence[b]
-        and mention_type[a] == mention_type[b]
     ]
     rng.shuffle(candidates)
     for a, b in candidates[:n_relations]:

@@ -22,6 +22,7 @@ from kpeval import (
     validate_document,
 )
 from kpeval.baselines import normalize_surface
+from kpeval.codec import tokenize_document
 
 K = KeyphraseType
 R = RelationType
@@ -211,3 +212,85 @@ def test_gazetteer_recall_on_training_text():
 def test_normalize_surface_collapses_whitespace_and_case():
     assert normalize_surface("Foo\n  Bar") == "foo bar"
     assert normalize_surface("ÉTUDE") == normalize_surface("étude")
+
+
+# --- the one-pass matcher against the per-window one -------------------------
+
+
+def _reference_gazetteer_predict(gaz, texts):
+    """The per-window matcher: normalize the text of every window of up to
+    `max_tokens` tokens, longest first, and canonicalize what matched."""
+    documents = {}
+    for doc in texts:
+        tokens = [t for sent in tokenize_document(doc.text) for t in sent.tokens]
+        spans = []
+        i = 0
+        while i < len(tokens):
+            hit = None
+            for j in range(min(len(tokens), i + gaz.max_tokens) - 1, i - 1, -1):
+                entry = gaz.entries.get(normalize_surface(doc.text[tokens[i].start : tokens[j].end]))
+                if entry is not None:
+                    hit = (j, entry[0])
+                    break
+            if hit is None:
+                i += 1
+            else:
+                j, ktype = hit
+                spans.append((f"T{len(spans) + 1}", ktype, tokens[i].start, tokens[j].end))
+                i = j + 1
+        documents[doc.doc_id] = canonicalize_document(make_document(doc.doc_id, doc.text, spans))
+    return Corpus(documents)
+
+
+# Words whose casefold expands (ß, ﬁ) or merges (Σ, σ and ς), punctuation
+# glued to words, and sentence breaks: "Σ. Foo" splits before "Foo".
+_GAZ_WORDS = (
+    "foo", "Foo", "FOO", "bar", "Bar", "foo(bar", "x.y", "X.Y", "a-b", "(", ")",
+    ",", ".", "Straße", "STRASSE", "strasse", "ﬁne", "FINE", "fine", "ΣΟΦΟΣ",
+    "σοφος", "σοφοσ", "ς", "Σ", "9",
+)
+_GAZ_GAPS = (" ", "  ", "\t", "\n", "\u00a0", ". ", ".\n", "", "")
+
+
+@st.composite
+def _gazetteer_text(draw):
+    parts = []
+    for _ in range(draw(st.integers(0, 14))):
+        parts += [draw(st.sampled_from(_GAZ_WORDS)), draw(st.sampled_from(_GAZ_GAPS))]
+    return "".join(parts)
+
+
+@st.composite
+def _training_document(draw, doc_id, text):
+    """Spans of `text` at token boundaries, so some cross a sentence break,
+    and at arbitrary characters."""
+    tokens = [t for sent in tokenize_document(text) for t in sent.tokens]
+    kps = []
+    for i in range(draw(st.integers(0, 8)) if tokens else 0):
+        if draw(st.booleans()):
+            first = draw(st.integers(0, len(tokens) - 1))
+            last = draw(st.integers(first, min(len(tokens) - 1, first + 3)))
+            start, end = tokens[first].start, tokens[last].end
+        else:
+            start = draw(st.integers(0, len(text) - 1))
+            end = draw(st.integers(start + 1, len(text)))
+        kps.append((f"T{i + 1}", draw(st.sampled_from(K)), start, end))
+    return make_document(doc_id, text, kps)
+
+
+@st.composite
+def _gazetteer_case(draw):
+    target = draw(_gazetteer_text())
+    # Train on the target text itself or on another text of the same words.
+    train_text = target if draw(st.booleans()) else draw(_gazetteer_text())
+    train = draw(_training_document("train", train_text))
+    return train, make_document("d", target, [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gazetteer_case())
+def test_gazetteer_predict_equals_reference_algorithm(case):
+    train, target = case
+    gaz = gazetteer_build(Corpus({"train": train}))
+    texts = Corpus({"d": target})
+    assert gazetteer_predict(gaz, texts)["d"] == _reference_gazetteer_predict(gaz, texts)["d"]

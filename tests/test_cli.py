@@ -1,12 +1,25 @@
+import contextlib
+import io
 import json
 import random
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import misalignment_corpus, synth_corpus, write_corpus_dir
-from kpeval import model
+from kpeval import (
+    Corpus,
+    canonicalize_document,
+    make_document,
+    model,
+    roundtrip_report,
+)
 from kpeval.cli import run_cli
+from kpeval.scoring import report_to_json
 
 
 def _dir_bytes(path):
@@ -159,6 +172,62 @@ def test_baseline_gazetteer_end_to_end(corpus_dir, tmp_path):
         "--in", str(corpus_dir), "--out", str(out),
     ]) == 0
     assert list(out.glob("*.ann"))
+
+
+@pytest.mark.parametrize("unpaired", [False, True])
+def test_baseline_gazetteer_without_training_documents_is_usage_error(
+    corpus_dir, tmp_path, capsys, unpaired
+):
+    train = tmp_path / "train"
+    train.mkdir()
+    if unpaired:
+        (train / "a.txt").write_text("Alpha beta.", encoding="utf-8")
+    out = tmp_path / "p"
+    assert run_cli([
+        "baseline", "--kind", "gazetteer", "--train", str(train),
+        "--in", str(corpus_dir), "--out", str(out),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert f"error: no .txt/.ann pairs in {train}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def _misaligned_corpus(rng):
+    """A synthetic corpus with a third of its spans shifted one character
+    into their first token and, in some documents, one span that crosses
+    sentences or overlaps others."""
+    documents = {}
+    for doc in synth_corpus(rng, rng.randint(1, 3), n_sentences=3, n_mentions=6, n_relations=3):
+        kps = [
+            (kp.id, kp.ktype, kp.start + (kp.end - kp.start > 1 and rng.random() < 1 / 3), kp.end)
+            for kp in doc.keyphrases
+        ]
+        if len(kps) > 1 and rng.random() < 0.5:
+            first, last = sorted(rng.sample(range(len(kps)), 2))
+            kps.append(("X", kps[first][1], kps[first][2], kps[last][3]))
+        rels = [(rel.rtype, rel.arg1, rel.arg2) for rel in doc.relations]
+        documents[doc.doc_id] = canonicalize_document(
+            make_document(doc.doc_id, doc.text, kps, rels)
+        )
+    return Corpus(documents)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10**6), st.booleans())
+def test_convert_then_score_equals_roundtrip_report(seed, snap):
+    corpus = _misaligned_corpus(random.Random(seed))
+    with tempfile.TemporaryDirectory() as tmp:
+        gold = write_corpus_dir(corpus, Path(tmp) / "gold")
+        seq, ann = str(Path(tmp) / "seq"), str(Path(tmp) / "ann")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            to_seq = ["convert", "--to", "seq", "--in", str(gold), "--out", seq]
+            assert run_cli(to_seq + ["--snap"] * snap) == 0
+            assert run_cli(["convert", "--to", "ann", "--in", seq, "--out", ann]) == 0
+            assert run_cli(["score", "--scenario", "1", "--json",
+                            "--gold", str(gold), "--pred", ann]) == 0
+    assert out.getvalue() == report_to_json(roundtrip_report(corpus, snap))
 
 
 def test_convert_round_trip(corpus_dir, tmp_path, capsys):

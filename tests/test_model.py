@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import subprocess
@@ -358,20 +359,28 @@ def _reference_is_canonical(doc):
 
 
 @st.composite
-def _canonical_document(draw, least=0):
-    """A valid document over a few spans, so that spans and types repeat;
-    `least` raises the lower bound on the number of annotations drawn."""
+def _valid_document(draw, least=0):
+    """A valid document over a few spans, so that spans and types repeat.
+
+    Ids come in any order, and relations may repeat, run either way and link
+    two keyphrases that merge into one; `least` raises the lower bound on the
+    number of annotations drawn.
+    """
     spans = st.sampled_from([(0, 5), (0, 10), (6, 10), (11, 16), (2, 3)])
-    keyphrases = [
-        (f"T{i}", draw(st.sampled_from(K)), *draw(spans))
-        for i in range(1, draw(st.integers(least, 6)) + 1)
-    ]
+    ids = draw(st.permutations([f"T{i}" for i in range(1, draw(st.integers(least, 6)) + 1)]))
+    keyphrases = [(kid, draw(st.sampled_from(K)), *draw(spans)) for kid in ids]
     relations = []
-    if len(keyphrases) > 1:
-        ids = st.sampled_from([kp[0] for kp in keyphrases])
-        pairs = st.lists(st.tuples(st.sampled_from(R), ids, ids), min_size=least, max_size=8)
+    if len(ids) > 1:
+        pairs = st.lists(
+            st.tuples(st.sampled_from(R), st.sampled_from(ids), st.sampled_from(ids)),
+            min_size=least, max_size=8,
+        )
         relations = [r for r in draw(pairs) if r[1] != r[2]]
-    return canonicalize_document(make_document("d", _TEXT, keyphrases, relations))
+    return make_document("d", _TEXT, keyphrases, relations)
+
+
+def _canonical_document(least=0):
+    return _valid_document(least).map(canonicalize_document)
 
 
 @st.composite
@@ -428,3 +437,60 @@ def test_is_canonical_on_the_tied_document():
     assert is_canonical(doc)
     rels = doc.relations
     assert not is_canonical(Document("d", doc.text, doc.keyphrases, rels[1:2] + rels[:1]))
+
+
+# --- canonical_form against the algorithm it replaced ------------------------
+
+
+def _reference_canonical_form(doc):
+    """Merge, sort and renumber keyphrases by copying each one, then map,
+    dedupe and sort relations by spans and parsed ids."""
+    merged, remap = {}, {}
+    for kp in doc.keyphrases:
+        key = (kp.start, kp.end, kp.ktype)
+        merged.setdefault(key, kp)
+        remap[kp.id] = key
+    ordered = sorted(merged.values(), key=Keyphrase.sort_key)
+    new_ids = {(kp.start, kp.end, kp.ktype): f"T{i}" for i, kp in enumerate(ordered, 1)}
+    keyphrases = tuple(
+        dataclasses.replace(kp, id=new_ids[(kp.start, kp.end, kp.ktype)]) for kp in ordered
+    )
+    span_of = {new_ids[key]: key[:2] for key in new_ids}
+
+    def arg_key(arg_id):
+        return (*span_of[arg_id], int(arg_id[1:]))
+
+    relations = set()
+    for rel in doc.relations:
+        a1, a2 = new_ids[remap[rel.arg1]], new_ids[remap[rel.arg2]]
+        if a1 == a2:
+            continue
+        if rel.rtype is R.SYNONYM_OF and arg_key(a2) < arg_key(a1):
+            a1, a2 = a2, a1
+        relations.add(Relation(rel.rtype, a1, a2))
+    order = sorted(relations, key=lambda r: (r.rtype.value, arg_key(r.arg1), arg_key(r.arg2)))
+    return Document(doc.doc_id, doc.text, keyphrases, tuple(order))
+
+
+# Valid documents: drawn as such, already canonical, or stripped by
+# drop_invalid from anything.
+_VALID_DOCUMENT = st.one_of(
+    _valid_document(),
+    _canonical_document(),
+    _ANY_DOCUMENT.map(lambda doc: drop_invalid(doc)[0]),
+)
+
+
+@settings(max_examples=300)
+@given(_VALID_DOCUMENT)
+def test_canonical_form_equals_reference_algorithm(doc):
+    canon = canonical_form(doc)
+    assert canon == _reference_canonical_form(doc)
+    assert is_canonical(canon)
+
+
+def test_canonical_form_keeps_what_is_already_canonical():
+    doc = canonicalize_document(make_document("d", _TIED_TEXT, _TIED_KEYPHRASES, _TIED_RELATIONS))
+    canon = canonical_form(doc)
+    assert all(a is b for a, b in zip(canon.keyphrases, doc.keyphrases))
+    assert all(a is b for a, b in zip(canon.relations, doc.relations))
