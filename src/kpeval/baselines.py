@@ -23,7 +23,6 @@ from .codec import (
     LabeledSequence,
     decode_document,
     encode_document,
-    tokenize,
     tokenize_document,
 )
 from .model import (
@@ -140,10 +139,11 @@ def _random_cells(heads: list[int], rng: random.Random) -> dict[tuple[int, int],
 
 @dataclass(frozen=True)
 class Gazetteer:
-    """Normalized training surfaces with their majority type and frequency."""
+    """Normalized training surfaces with their majority type and frequency,
+    and the length in characters of the longest surface."""
 
     entries: dict[str, tuple[KeyphraseType, int]]
-    max_tokens: int
+    max_chars: int
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -174,15 +174,13 @@ def gazetteer_build(train: Corpus) -> Gazetteer:
             per_type = counts.setdefault(key, {})
             per_type[kp.ktype] = per_type.get(kp.ktype, 0) + 1
     entries = {}
-    max_tokens = 1
     for key, per_type in counts.items():
         best = max(
             per_type.items(),
             key=lambda item: (item[1], -TYPE_PRIORITY.index(item[0])),
         )[0]
         entries[key] = (best, sum(per_type.values()))
-        max_tokens = max(max_tokens, len(tokenize(key, (0, len(key)))))
-    return Gazetteer(entries, max_tokens)
+    return Gazetteer(entries, max(map(len, entries), default=0))
 
 
 def gazetteer_predict(gaz: Gazetteer, texts: Corpus) -> Corpus:
@@ -191,8 +189,9 @@ def gazetteer_predict(gaz: Gazetteer, texts: Corpus) -> Corpus:
     One forward pass: from each start token a single candidate grows a token
     at a time, casefolded tokens joined by " " across a gap and by "" where
     they touch.  Tokens cover every non-whitespace character, so the
-    candidate equals `normalize_surface` of the text it spans, and the last
-    hit within `max_tokens` tokens is the longest match.  Matches become
+    candidate equals `normalize_surface` of the text it spans.  Each token
+    adds at least one character, so growth stops once the candidate is longer
+    than `max_chars`, and the last hit is the longest match.  Matches become
     keyphrases of the stored type, numbered in text order; they never
     overlap, so the output is canonical by construction.  No relations are
     predicted, and a surface absent from the training set can never be
@@ -213,9 +212,11 @@ def gazetteer_predict(gaz: Gazetteer, texts: Corpus) -> Corpus:
         while i < len(tokens):
             hit = None
             candidate = folded[i]
-            for j in range(i, min(len(tokens), i + gaz.max_tokens)):
+            for j in range(i, len(tokens)):
                 if j > i:
                     candidate += extend[j]
+                if len(candidate) > gaz.max_chars:
+                    break
                 entry = gaz.entries.get(candidate)
                 if entry is not None:
                     hit = (j, entry[0])

@@ -3,8 +3,8 @@
 File conventions (one document = `<stem>.txt` + `<stem>.ann`, both UTF-8):
 
   * `<stem>.txt` holds one plain-text paragraph.  Bytes are preserved as-is
-    (no re-wrapping); a leading BOM, if present, is stripped before offset 0
-    is assigned.  Offsets count Unicode code points of the resulting string.
+    (no re-wrapping, "\\r\\n" kept); a leading BOM, if present, is stripped
+    before offset 0 is assigned.  Offsets count code points of the result.
   * `<stem>.ann` is UTF-8 too, and a leading BOM is stripped likewise.  It
     is newline-delimited and tab-separated:
       - entities:     ``T<k>\\t<Type> <start> <end>\\t<surface>``
@@ -15,6 +15,8 @@ File conventions (one document = `<stem>.txt` + `<stem>.ann`, both UTF-8):
     to canonical pairs.  The surface column is only validated against the
     text slice; offsets are the source of truth.
 
+The loaders return documents that validate: each annotation that breaks an
+error rule is reported, left out, and listed in `ValidationReport.dropped`.
 Parsing of distinct documents is pure and may run concurrently.
 """
 
@@ -34,8 +36,8 @@ from .model import (
     Relation,
     RelationType,
     ValidationReport,
+    _walk,
     is_canonical,
-    validate_document,
 )
 
 MISSING_ANN = "MISSING_ANN"
@@ -177,12 +179,13 @@ _FLATTEN = str.maketrans({"\n": " ", "\r": " ", "\t": " "})
 def parse_document_pair(
     doc_id: str, text: str, ann: str
 ) -> tuple[Document, ValidationReport]:
-    """Assemble a Document from raw .txt content and .ann content.
+    """Assemble a valid Document from raw .txt content and .ann content.
 
     Malformed lines are recorded as MALFORMED_LINE errors with their line
     number and skipped; no line is ever dropped silently.  Equivalence lines
-    with k ids expand to all k*(k-1)/2 synonym pairs.  The report also carries
-    the full validate_document output for the assembled document.
+    with k ids expand to all k*(k-1)/2 synonym pairs.  The document is walked
+    once: the report carries the validate_document output, and the document
+    comes back stripped as by drop_invalid, each removal in `report.dropped`.
     """
     report = ValidationReport()
     text = text.removeprefix("\ufeff")
@@ -217,7 +220,9 @@ def parse_document_pair(
             for a1, a2 in itertools.combinations(parsed.args, 2):
                 relations.append(Relation(RelationType.SYNONYM_OF, a1, a2))
     doc = Document(doc_id, text, tuple(keyphrases), tuple(relations))
-    report.extend(validate_document(doc))
+    doc_report, doc, dropped = _walk(doc)
+    report.extend(doc_report)
+    report.dropped.extend((doc_id, message) for message in dropped)
     return doc, report
 
 
@@ -248,19 +253,19 @@ def serialize_annotations(doc: Document) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def read_utf8(path: Path) -> str:
-    """Read a UTF-8 file; bytes that do not decode are an OSError naming it."""
+def read_utf8(path: Path, newline: str | None = None) -> str:
+    """Read a UTF-8 file, with `newline` as for `open`; bytes that do not
+    decode are an OSError naming it."""
     try:
-        return path.read_text(encoding="utf-8")
+        with path.open(encoding="utf-8", newline=newline) as f:
+            return f.read()
     except UnicodeDecodeError as exc:
         raise OSError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from None
 
 
 def read_text(path: Path) -> str:
-    text = read_utf8(path)
-    if text.startswith("﻿"):
-        text = text[1:]
-    return text
+    """A .txt file as stored, "\\r\\n" included, without a leading BOM."""
+    return read_utf8(path, newline="").removeprefix("\ufeff")
 
 
 def load_corpus(dir_path: str | Path) -> tuple[Corpus, ValidationReport]:

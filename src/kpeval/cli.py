@@ -108,20 +108,15 @@ def _print_report_entries(report: brat.ValidationReport) -> None:
         print(f"WARNING [{code}] {located(doc_id, message)}", file=sys.stderr)
 
 
-def _prepare_corpus(corpus: brat.Corpus) -> brat.Corpus:
-    """Canonicalize for scoring, dropping whatever cannot be scored.
+def _prepare_corpus(corpus: brat.Corpus, report: brat.ValidationReport) -> brat.Corpus:
+    """Warn of what the loader stripped, in doc_id order, and canonicalize.
 
-    The loader has already reported on every document, so what is dropped
-    only shows as a warning, and the cleaned document is valid by
-    construction and needs no second check.
+    The loader has already reported on every document and returned it valid,
+    so it needs no second check.
     """
-    documents = {}
-    for doc in corpus:
-        clean, dropped = model.drop_invalid(doc)
-        for message in dropped:
-            print(f"WARNING [DROPPED] {doc.doc_id}: {message}", file=sys.stderr)
-        documents[doc.doc_id] = model.canonical_form(clean)
-    return brat.Corpus(documents)
+    for doc_id, message in sorted(report.dropped, key=lambda entry: entry[0]):
+        print(f"WARNING [DROPPED] {doc_id}: {message}", file=sys.stderr)
+    return brat.Corpus({doc.doc_id: model.canonical_form(doc) for doc in corpus})
 
 
 def _write_atomic(out_dir: Path, force: bool, writer) -> None:
@@ -166,8 +161,8 @@ def cmd_score(args: argparse.Namespace) -> int:
     pred_raw, pred_report = brat.load_predictions(args.pred, gold_raw)
     _print_report_entries(gold_report)
     _print_report_entries(pred_report)
-    gold = _prepare_corpus(gold_raw)
-    pred = _prepare_corpus(pred_raw)
+    gold = _prepare_corpus(gold_raw, gold_report)
+    pred = _prepare_corpus(pred_raw, pred_report)
     scenario = scoring.Scenario(args.scenario)
 
     doc_ids = gold.doc_ids()
@@ -217,7 +212,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
     if args.to == "seq":
         corpus_raw, report = brat.load_corpus(args.in_dir)
         _print_report_entries(report)
-        for doc in _prepare_corpus(corpus_raw):
+        for doc in _prepare_corpus(corpus_raw, report):
             sequences, _ = codec.encode_document(doc, snap=args.snap)
             files[f"{doc.doc_id}.seq"] = codec.sequences_to_tsv(sequences)
             files[f"{doc.doc_id}.txt"] = doc.text
@@ -257,7 +252,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
 def cmd_baseline(args: argparse.Namespace) -> int:
     corpus_raw, report = brat.load_corpus(args.in_dir)
     _print_report_entries(report)
-    corpus = _prepare_corpus(corpus_raw)
+    corpus = _prepare_corpus(corpus_raw, report)
     kind = baselines.BaselineKind(args.kind)
     if kind is baselines.BaselineKind.ORACLE:
         predicted = baselines.oracle_predict(corpus, snap=args.snap)
@@ -271,7 +266,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
         _print_report_entries(train_report)
         if not len(train_raw):
             return _usage_error(f"no .txt/.ann pairs in {args.train}")
-        gaz = baselines.gazetteer_build(_prepare_corpus(train_raw))
+        gaz = baselines.gazetteer_build(_prepare_corpus(train_raw, train_report))
         predicted = baselines.gazetteer_predict(gaz, corpus)
 
     def writer(tmp: Path) -> None:
@@ -288,8 +283,8 @@ def cmd_agreement(args: argparse.Namespace) -> int:
     _print_report_entries(report_b)
     try:
         report = analytics.agreement_report(
-            _prepare_corpus(corpus_a),
-            _prepare_corpus(corpus_b),
+            _prepare_corpus(corpus_a, report_a),
+            _prepare_corpus(corpus_b, report_b),
             granularity=args.granularity,
         )
     except ValueError as exc:

@@ -105,10 +105,12 @@ class Document:
 
 @dataclass
 class ValidationReport:
-    """Aggregated (doc_id, code, message) entries; errors are hard violations."""
+    """(doc_id, code, message) entries, errors being hard violations, and one
+    (doc_id, message) per annotation a loader stripped, which `ok` ignores."""
 
     errors: list[tuple[str, str, str]] = dataclasses.field(default_factory=list)
     warnings: list[tuple[str, str, str]] = dataclasses.field(default_factory=list)
+    dropped: list[tuple[str, str]] = dataclasses.field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -123,6 +125,7 @@ class ValidationReport:
     def extend(self, other: "ValidationReport") -> None:
         self.errors.extend(other.errors)
         self.warnings.extend(other.warnings)
+        self.dropped.extend(other.dropped)
 
 
 # Error codes reported by validate_document.
@@ -258,7 +261,8 @@ def canonicalize_document(doc: Document) -> Document:
 def canonical_form(doc: Document) -> Document:
     """`canonicalize_document` for a document known to validate, unchecked.
 
-    For callers that hold the output of `drop_invalid`, which is valid by
+    For callers that hold what a loader (`brat.load_corpus`,
+    `brat.load_predictions`) or `drop_invalid` returned, which is valid by
     construction.  An invalid document gives undefined results.  Nothing
     already canonical is rebuilt: a keyphrase whose id is already its
     canonical id, and a relation whose arguments are, come back as the same

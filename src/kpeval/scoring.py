@@ -141,15 +141,9 @@ def score_scenario(
 
     per_subtask = {task: MatchCounts() for task in scenario.subtasks}
     diagnostics: list[str] = []
-    empty_cache: dict[str, Document] = {}
     for doc_id in gold.doc_ids():
         gold_doc = gold[doc_id]
-        if doc_id in pred:
-            pred_doc = pred[doc_id]
-        else:
-            pred_doc = empty_cache.setdefault(
-                doc_id, Document(doc_id, gold_doc.text)
-            )
+        pred_doc = pred[doc_id] if doc_id in pred else Document(doc_id, gold_doc.text)
         for task in scenario.subtasks:
             per_subtask[task] += count_matches(task, gold_doc, pred_doc)
         if scenario is Scenario.S2 and items(Subtask.A, gold_doc) != items(

@@ -209,6 +209,16 @@ def test_gazetteer_recall_on_training_text():
         assert pred_surfaces & gold_surfaces
 
 
+def test_gazetteer_finds_surface_longer_in_tokens_than_its_casefold():
+    # α, U+0345 and β are three tokens; their casefold "αιβ" is one.
+    text = "Some \u03b1\u0345\u03b2 here."
+    train = Corpus({"t": make_document("t", text, [("T1", K.MATERIAL, 5, 8)])})
+    gaz = gazetteer_build(train)
+    assert gaz.max_chars == 3
+    (kp,) = gazetteer_predict(gaz, train)["t"].keyphrases
+    assert (kp.span(), kp.ktype) == ((5, 8), K.MATERIAL)
+
+
 def test_normalize_surface_collapses_whitespace_and_case():
     assert normalize_surface("Foo\n  Bar") == "foo bar"
     assert normalize_surface("ÉTUDE") == normalize_surface("étude")
@@ -218,8 +228,8 @@ def test_normalize_surface_collapses_whitespace_and_case():
 
 
 def _reference_gazetteer_predict(gaz, texts):
-    """The per-window matcher: normalize the text of every window of up to
-    `max_tokens` tokens, longest first, and canonicalize what matched."""
+    """The definition: normalize the text of every window of tokens,
+    longest first, with no bound, and canonicalize what matched."""
     documents = {}
     for doc in texts:
         tokens = [t for sent in tokenize_document(doc.text) for t in sent.tokens]
@@ -227,7 +237,7 @@ def _reference_gazetteer_predict(gaz, texts):
         i = 0
         while i < len(tokens):
             hit = None
-            for j in range(min(len(tokens), i + gaz.max_tokens) - 1, i - 1, -1):
+            for j in range(len(tokens) - 1, i - 1, -1):
                 entry = gaz.entries.get(normalize_surface(doc.text[tokens[i].start : tokens[j].end]))
                 if entry is not None:
                     hit = (j, entry[0])
@@ -242,12 +252,14 @@ def _reference_gazetteer_predict(gaz, texts):
     return Corpus(documents)
 
 
-# Words whose casefold expands (ß, ﬁ) or merges (Σ, σ and ς), punctuation
-# glued to words, and sentence breaks: "Σ. Foo" splits before "Foo".
+# Words whose casefold expands (ß, ﬁ) or merges (Σ, σ and ς), a combining
+# mark that is a token of its own but casefolds to a letter (U+0345 folds to
+# ι, so "α\u0345β" folds to the one-token "αιβ" of "ΑΙΒ"), punctuation glued
+# to words, and sentence breaks: "Σ. Foo" splits before "Foo".
 _GAZ_WORDS = (
     "foo", "Foo", "FOO", "bar", "Bar", "foo(bar", "x.y", "X.Y", "a-b", "(", ")",
     ",", ".", "Straße", "STRASSE", "strasse", "ﬁne", "FINE", "fine", "ΣΟΦΟΣ",
-    "σοφος", "σοφοσ", "ς", "Σ", "9",
+    "σοφος", "σοφοσ", "ς", "Σ", "9", "α\u0345β", "ΑΙΒ",
 )
 _GAZ_GAPS = (" ", "  ", "\t", "\n", "\u00a0", ". ", ".\n", "", "")
 

@@ -13,10 +13,13 @@ from hypothesis import strategies as st
 from conftest import misalignment_corpus, synth_corpus, write_corpus_dir
 from kpeval import (
     Corpus,
+    Scenario,
     canonicalize_document,
+    load_corpus,
     make_document,
     model,
     roundtrip_report,
+    score_scenario,
 )
 from kpeval.cli import run_cli
 from kpeval.scoring import report_to_json
@@ -347,7 +350,7 @@ def test_stats_rejects_negative_top(corpus_dir, capsys):
 
 
 def test_score_validates_each_loaded_document_once(corpus_dir, monkeypatch):
-    original = model.validate_document
+    original = model._walk
     calls = []
 
     def counting(doc):
@@ -365,7 +368,9 @@ def test_score_validates_each_loaded_document_once(corpus_dir, monkeypatch):
     ])
     assert code == 0
     doc_ids = sorted(p.stem for p in corpus_dir.glob("*.ann"))
-    assert sorted(calls) == sorted(doc_ids * 2)  # each gold and each prediction file
+    # One invariant walk per gold file and one per prediction file, whichever
+    # public function (validate_document, drop_invalid) would reach it.
+    assert sorted(calls) == sorted(doc_ids * 2)
 
 
 def _two_document_corpus(tmp_path):
@@ -416,3 +421,207 @@ def test_diagnostics_name_their_document(tmp_path, capsys):
         "ERROR   [MALFORMED_LINE] b.ann line 3: unknown leading sigil 'X9'",
         "ERROR   [DANGLING_ARGUMENT] b: Hyponym-of(T1, T77): no keyphrase T77",
     ]
+
+
+# A corpus whose gold and prediction files break every error rule.  In path
+# order "a-b.ann" sorts before "a.ann"; in doc_id order "a" comes first.
+_INVALID_TEXT = "Graphene conducts heat."
+_INVALID_GOLD = {
+    "a": "T1\tMaterial 0 8\tGraphene\nT2\tProcess 9 17\tconducts\n"
+         "T3\tMaterial 18 40\theat.\nR1\tHyponym-of Arg1:T1 Arg2:T9\n",
+    "a-b": "T1\tMaterial 0 8\tGraphene\nT1\tProcess 9 17\tconducts\n"
+           "R1\tHyponym-of Arg1:T1 Arg2:T1\n",
+    "b": "T1\tMaterial 0 8\tGraphene\nT2\tMaterial 18 22\theat\n*\tSynonym-of T1 T2\n"
+         "R1\tHyponym-of Arg1:T2 Arg2:T3\n",
+}
+_INVALID_PRED = {
+    "a": "T1\tMaterial 0 8\tGraphene\nT2\tTask 30 35\tx\nR1\tHyponym-of Arg1:T1 Arg2:T2\n",
+    "a-b": "T1\tMaterial 0 8\tGraphene\nT1\tMaterial 18 22\theat\n"
+           "R1\tHyponym-of Arg1:T1 Arg2:T7\n",
+    "b": "T1\tProcess 9 17\tconducts\nR1\tHyponym-of Arg1:T1 Arg2:T1\n",
+}
+
+
+def _invalid_corpus(tmp_path):
+    gold, pred = tmp_path / "gold", tmp_path / "pred"
+    gold.mkdir()
+    pred.mkdir()
+    for stem, ann in _INVALID_GOLD.items():
+        (gold / f"{stem}.txt").write_text(_INVALID_TEXT, encoding="utf-8")
+        (gold / f"{stem}.ann").write_text(ann, encoding="utf-8")
+    for stem, ann in _INVALID_PRED.items():
+        (pred / f"{stem}.ann").write_text(ann, encoding="utf-8")
+    return gold, pred
+
+
+def test_score_stderr_on_invalid_corpus(tmp_path, capsys):
+    gold, pred = _invalid_corpus(tmp_path)
+    assert run_cli(["score", "--scenario", "1", "--gold", str(gold), "--pred", str(pred)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "ERROR   [OFFSET_OUT_OF_BOUNDS] a: T3: span (18, 40) outside text of length 23",
+        "ERROR   [DANGLING_ARGUMENT] a: Hyponym-of(T1, T9): no keyphrase T9",
+        "ERROR   [DUPLICATE_ID] a-b: id T1 defined twice",
+        "ERROR   [SELF_RELATION] a-b: Hyponym-of relates T1 to itself",
+        "ERROR   [DANGLING_ARGUMENT] b: Hyponym-of(T2, T3): no keyphrase T3",
+        "ERROR   [DUPLICATE_ID] a-b: id T1 defined twice",
+        "ERROR   [DANGLING_ARGUMENT] a-b: Hyponym-of(T1, T7): no keyphrase T7",
+        "ERROR   [OFFSET_OUT_OF_BOUNDS] a: T2: span (30, 35) outside text of length 23",
+        "ERROR   [SELF_RELATION] b: Hyponym-of relates T1 to itself",
+        "WARNING [CROSS_TYPE_RELATION] a: Hyponym-of(T1, T2) links Material to Task",
+        "WARNING [DROPPED] a: keyphrase T3: span out of bounds",
+        "WARNING [DROPPED] a: Hyponym-of(T1, T9): dangling argument",
+        "WARNING [DROPPED] a-b: keyphrase T1: duplicate id",
+        "WARNING [DROPPED] a-b: Hyponym-of(T1, T1): self-relation",
+        "WARNING [DROPPED] b: Hyponym-of(T2, T3): dangling argument",
+        "WARNING [DROPPED] a: keyphrase T2: span out of bounds",
+        "WARNING [DROPPED] a: Hyponym-of(T1, T2): dangling argument",
+        "WARNING [DROPPED] a-b: keyphrase T1: duplicate id",
+        "WARNING [DROPPED] a-b: Hyponym-of(T1, T7): dangling argument",
+        "WARNING [DROPPED] b: Hyponym-of(T1, T1): self-relation",
+    ]
+    assert "overall        2      1      4" in captured.out
+
+
+def test_stats_counts_only_what_loads(tmp_path, capsys):
+    gold, _ = _invalid_corpus(tmp_path)
+    assert run_cli(["stats", str(gold), "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    # Neither the out-of-bounds T3 of a nor the second T1 of a-b is a mention.
+    assert payload["n_mentions"] == 5
+    assert payload["top_k"] == [["graphene", 3], ["conducts", 1], ["heat", 1]]
+
+
+def test_loaded_corpus_scores_without_preparation(tmp_path):
+    gold, _ = _invalid_corpus(tmp_path)
+    corpus, report = load_corpus(gold)
+    assert score_scenario(corpus, corpus, Scenario.S1).overall.f1 == 1.0
+    assert all(model.validate_document(doc).ok for doc in corpus)
+    assert not report.ok
+    assert [doc_id for doc_id, _ in report.dropped] == ["a", "a", "a-b", "a-b", "b"]
+
+
+def test_crlf_text_keeps_its_offsets(tmp_path, capsys):
+    d = tmp_path / "crlf"
+    d.mkdir()
+    text = b"Alpha beta.\r\nGraphene conducts."
+    (d / "a.txt").write_bytes(text)
+    (d / "a.ann").write_bytes(b"T1\tMaterial 13 21\tGraphene\r\n")
+    assert run_cli(["validate", str(d)]) == 0
+    captured = capsys.readouterr()
+    assert "errors:    0" in captured.out and captured.err == ""
+    seq, ann = tmp_path / "seq", tmp_path / "ann"
+    assert run_cli(["convert", "--to", "seq", "--in", str(d), "--out", str(seq)]) == 0
+    assert run_cli(["convert", "--to", "ann", "--in", str(seq), "--out", str(ann)]) == 0
+    assert (seq / "a.txt").read_bytes() == (ann / "a.txt").read_bytes() == text
+    assert (ann / "a.ann").read_text(encoding="utf-8") == "T1\tMaterial 13 21\tGraphene\n"
+
+
+# --- no input makes any command raise -----------------------------------------
+
+
+def _mostly(valid, broken):
+    """`valid` seven times in eight, else `broken`: a broken line or file ends
+    most commands early, so deeper paths need mostly valid input."""
+    return st.integers(0, 7).flatmap(lambda pick: broken if pick == 0 else valid)
+
+
+_FUZZ_OFFSET = _mostly(
+    st.integers(-2, 30).map(str), st.sampled_from(["", "x", "1.5", "9" * 20])
+)
+_FUZZ_ID = _mostly(st.integers(0, 4).map(lambda i: f"T{i}"), st.sampled_from(["", "X", "T"]))
+_FUZZ_ANN_LINE = _mostly(st.one_of(
+    st.builds(
+        lambda kid, ktype, start, end, surface: f"{kid}\t{ktype} {start} {end}\t{surface}",
+        _FUZZ_ID, st.sampled_from(["Material", "process", "TASK", "Foo"]),
+        _FUZZ_OFFSET, _FUZZ_OFFSET, st.text(max_size=6),
+    ),
+    st.builds(
+        lambda rtype, a1, a2: f"R1\t{rtype} Arg1:{a1} Arg2:{a2}",
+        st.sampled_from(["Hyponym-of", "synonym-of", "Part-of"]), _FUZZ_ID, _FUZZ_ID,
+    ),
+    st.builds(
+        lambda rtype, ids: f"*\t{rtype} " + " ".join(ids),
+        st.sampled_from(["Synonym-of", "Hyponym-of"]), st.lists(_FUZZ_ID, max_size=4),
+    ),
+), st.text(max_size=12))
+_FUZZ_SEQ_LINE = _mostly(st.one_of(
+    st.builds(
+        lambda token, start, end, a, b: f"{token}\t{start}\t{end}\t{a}\t{b}",
+        st.text("ab.", max_size=3), _FUZZ_OFFSET, _FUZZ_OFFSET,
+        st.sampled_from("OBIX"), st.sampled_from("OMPTX"),
+    ),
+    st.builds(
+        lambda i, j, value: f"#REL\t{i}\t{j}\t{value}",
+        _FUZZ_OFFSET, _FUZZ_OFFSET, st.sampled_from("SHOX"),
+    ),
+    st.just(""),
+), st.text(max_size=12))
+_FUZZ_GENRE_LINE = st.builds(
+    lambda doc_id, genre: f"{doc_id}\t{genre}", st.sampled_from(["a", "b", "c", ""]),
+    st.text(max_size=4),
+)
+
+
+def _fuzz_file(lines):
+    """Near-valid lines with any line break and maybe a BOM; else random
+    bytes or no file at all."""
+    near_valid = st.builds(
+        lambda bom, parts, newline: (bom + newline.join(parts)).encode("utf-8"),
+        st.sampled_from(["", "\ufeff"]), st.lists(lines, max_size=6),
+        st.sampled_from(["\n", "\r\n", "\r"]),
+    )
+    return _mostly(near_valid, st.one_of(st.none(), st.binary(max_size=40)))
+
+
+_FUZZ_TEXT_LINE = st.text("Graphene conducts.ᾳ \t", max_size=24)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.fixed_dictionaries({
+    (stem, suffix): _fuzz_file(lines)
+    for stem in ("a", "b")
+    for suffix, lines in (
+        (".txt", _FUZZ_TEXT_LINE), (".ann", _FUZZ_ANN_LINE),
+        (".pred", _FUZZ_ANN_LINE), (".seq", _FUZZ_SEQ_LINE),
+    )
+}), _fuzz_file(_FUZZ_GENRE_LINE))
+def test_no_input_makes_a_command_raise(files, genre_map):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        gold, pred, other, seq = (root / name for name in ("gold", "pred", "other", "seq"))
+        for d in (gold, pred, other, seq):
+            d.mkdir()
+        genres = root / "genres.tsv"
+        genres.write_bytes(genre_map or b"")
+        for (stem, suffix), content in files.items():
+            if content is None:
+                continue
+            targets = {".txt": (gold, other, seq), ".ann": (gold,),
+                       ".pred": (pred, other), ".seq": (seq,)}[suffix]
+            for d in targets:
+                name = f"{stem}.ann" if suffix == ".pred" else f"{stem}{suffix}"
+                (d / name).write_bytes(content)
+        g, out = str(gold), root / "out"
+        commands = [
+            ["validate", g],
+            ["stats", g, "--top", "2"],
+            ["stats", g, "--json"],
+            ["score", "--scenario", "1", "--gold", g, "--pred", str(pred),
+             "--by-genre", str(genres)],
+            ["score", "--scenario", "2", "--gold", g, "--pred", str(pred), "--json"],
+            ["score", "--scenario", "3", "--gold", g, "--pred", g, "--pool", "abc"],
+            ["convert", "--to", "seq", "--in", g, "--out", str(out / "seq"), "--snap"],
+            ["convert", "--to", "ann", "--in", str(seq), "--out", str(out / "ann")],
+            ["convert", "--to", "ann", "--in", str(out / "seq"), "--out", str(out / "back")],
+            ["baseline", "--kind", "oracle", "--in", g, "--out", str(out / "oracle")],
+            ["baseline", "--kind", "random", "--scenario", "2", "--in", g,
+             "--out", str(out / "random")],
+            ["baseline", "--kind", "gazetteer", "--train", str(other), "--in", g,
+             "--out", str(out / "gazetteer")],
+            ["agreement", "--a", g, "--b", str(other), "--granularity", "token_b"],
+        ]
+        for argv in commands:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert run_cli(argv) in (0, 1, 2), argv
