@@ -17,9 +17,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .baselines import normalize_surface
 from .brat import Corpus
 from .codec import encode_document, tokenize
+from .model import normalize_surface
 
 
 @dataclass(frozen=True)

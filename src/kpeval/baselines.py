@@ -30,6 +30,7 @@ from .model import (
     Document,
     KeyphraseType,
     make_document,
+    normalize_surface,
 )
 from .scoring import Scenario, ScoreReport, score_scenario
 
@@ -150,11 +151,6 @@ class Gazetteer:
 
     def __contains__(self, surface: str) -> bool:
         return normalize_surface(surface) in self.entries
-
-
-def normalize_surface(surface: str) -> str:
-    """Case-fold and collapse internal whitespace runs to single spaces."""
-    return " ".join(surface.casefold().split())
 
 
 def gazetteer_build(train: Corpus) -> Gazetteer:

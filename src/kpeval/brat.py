@@ -46,14 +46,16 @@ MALFORMED_LINE = "MALFORMED_LINE"
 
 
 class MalformedLine(ValueError):
-    """A .ann line that cannot be parsed; knows its position when available."""
+    """A .ann or .seq line that cannot be used; knows its position when
+    available, and `code`, the report code it is an error under."""
 
     def __init__(self, reason: str, line: str, lineno: int | None = None,
-                 filename: str | None = None):
+                 filename: str | None = None, code: str = MALFORMED_LINE):
         self.reason = reason
         self.line = line
         self.lineno = lineno
         self.filename = filename
+        self.code = code
         where = ""
         if filename is not None:
             where += f"{filename} "
@@ -239,16 +241,16 @@ def serialize_annotations(doc: Document) -> str:
                          "run canonicalize_document first")
     lines = []
     for kp in doc.keyphrases:
-        lines.append(f"{kp.id}\t{kp.ktype.value} {kp.start} {kp.end}\t"
+        lines.append(f"{kp.id}\t{kp.ktype._value_} {kp.start} {kp.end}\t"
                      f"{kp.surface.translate(_FLATTEN)}")
     for rel in doc.relations:
         if rel.rtype is RelationType.SYNONYM_OF:
-            lines.append(f"*\t{rel.rtype.value} {rel.arg1} {rel.arg2}")
+            lines.append(f"*\t{rel.rtype._value_} {rel.arg1} {rel.arg2}")
     r_count = 0
     for rel in doc.relations:
         if rel.rtype is RelationType.HYPONYM_OF:
             r_count += 1
-            lines.append(f"R{r_count}\t{rel.rtype.value} "
+            lines.append(f"R{r_count}\t{rel.rtype._value_} "
                          f"Arg1:{rel.arg1} Arg2:{rel.arg2}")
     return "".join(line + "\n" for line in lines)
 

@@ -14,8 +14,12 @@ import shutil
 import sys
 import tempfile
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import analytics, baselines, brat, codec, model, scoring
+# Each command imports the modules it runs, so that building the parser, and
+# a command that needs few of them, loads no more than it uses.
+if TYPE_CHECKING:
+    from .brat import Corpus, ValidationReport
 
 
 def _int_at_least(minimum: int):
@@ -70,8 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", **_JOBS)
 
     p = sub.add_parser("baseline", help="generate a reference prediction")
-    p.add_argument("--kind", choices=[k.value for k in baselines.BaselineKind],
-                   required=True)
+    # The values of `baselines.BaselineKind`, spelled out so that building
+    # the parser does not import the baselines.
+    p.add_argument("--kind", choices=("oracle", "random", "gazetteer"), required=True)
     p.add_argument("--in", dest="in_dir", type=Path, required=True)
     p.add_argument("--out", dest="out_dir", type=Path, required=True)
     p.add_argument("--train", type=Path, help="training corpus (gazetteer)")
@@ -96,7 +101,7 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def _print_report_entries(report: brat.ValidationReport) -> None:
+def _print_report_entries(report: ValidationReport) -> None:
     """Print each entry on stderr, naming its document unless it names a file."""
 
     def located(doc_id: str, message: str) -> str:
@@ -108,12 +113,14 @@ def _print_report_entries(report: brat.ValidationReport) -> None:
         print(f"WARNING [{code}] {located(doc_id, message)}", file=sys.stderr)
 
 
-def _prepare_corpus(corpus: brat.Corpus, report: brat.ValidationReport) -> brat.Corpus:
+def _prepare_corpus(corpus: Corpus, report: ValidationReport) -> Corpus:
     """Warn of what the loader stripped, in doc_id order, and canonicalize.
 
     The loader has already reported on every document and returned it valid,
     so it needs no second check.
     """
+    from . import brat, model
+
     for doc_id, message in sorted(report.dropped, key=lambda entry: entry[0]):
         print(f"WARNING [DROPPED] {doc_id}: {message}", file=sys.stderr)
     return brat.Corpus({doc.doc_id: model.canonical_form(doc) for doc in corpus})
@@ -139,6 +146,8 @@ def _write_atomic(out_dir: Path, force: bool, writer) -> None:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from . import brat
+
     corpus, report = brat.load_corpus(args.dir)
     _print_report_entries(report)
     print(f"documents: {len(corpus)}")
@@ -148,6 +157,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    from . import analytics, brat
+
     corpus, report = brat.load_corpus(args.dir)
     _print_report_entries(report)
     stats = analytics.corpus_stats(corpus, k=args.top)
@@ -157,6 +168,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
+    from . import brat, scoring
+
     gold_raw, gold_report = brat.load_corpus(args.gold)
     pred_raw, pred_report = brat.load_predictions(args.pred, gold_raw)
     _print_report_entries(gold_report)
@@ -199,6 +212,8 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def _read_genre_map(path: Path) -> dict[str, str]:
+    from . import brat
+
     genres = {}
     for line in brat.read_utf8(path).splitlines():
         if line.strip():
@@ -208,6 +223,8 @@ def _read_genre_map(path: Path) -> dict[str, str]:
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
+    from . import brat, codec, model
+
     files: dict[str, str] = {}  # output file name -> content
     if args.to == "seq":
         corpus_raw, report = brat.load_corpus(args.in_dir)
@@ -229,12 +246,12 @@ def cmd_convert(args: argparse.Namespace) -> int:
                 return _usage_error(f"{path.name} has no matching .txt")
             text = brat.read_text(txt)
             try:
-                sequences = codec.sequences_from_tsv(brat.read_utf8(path), path.name)
+                sequences = codec.sequences_from_tsv(brat.read_utf8(path), path.name, text)
                 doc = codec.decode_document(sequences, text, path.stem)
             except brat.MalformedLine as exc:
-                report.error(path.stem, brat.MALFORMED_LINE, str(exc))
+                report.error(path.stem, exc.code, str(exc))
                 continue
-            except ValueError as exc:  # a token lies outside the text
+            except ValueError as exc:  # tokens out of order make a reversed span
                 report.error(path.stem, model.OFFSET_OUT_OF_BOUNDS, f"{path.name}: {exc}")
                 continue
             files[f"{path.stem}.ann"] = brat.serialize_annotations(doc)
@@ -250,6 +267,8 @@ def cmd_convert(args: argparse.Namespace) -> int:
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
+    from . import baselines, brat, scoring
+
     corpus_raw, report = brat.load_corpus(args.in_dir)
     _print_report_entries(report)
     corpus = _prepare_corpus(corpus_raw, report)
@@ -277,6 +296,8 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 
 
 def cmd_agreement(args: argparse.Namespace) -> int:
+    from . import analytics, brat
+
     corpus_a, report_a = brat.load_corpus(args.dir_a)
     corpus_b, report_b = brat.load_corpus(args.dir_b)
     _print_report_entries(report_a)

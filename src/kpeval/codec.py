@@ -42,6 +42,8 @@ from dataclasses import dataclass
 
 from .brat import MalformedLine
 from .model import (
+    OFFSET_OUT_OF_BOUNDS,
+    SURFACE_MISMATCH,
     TYPE_PRIORITY,
     Document,
     Keyphrase,
@@ -308,39 +310,6 @@ def _resolve_overlaps(
             claimed |= tokens
 
 
-def check_sequence(seq: LabeledSequence) -> list[str]:
-    """Return a description of every LabeledSequence invariant violation."""
-    problems = []
-    n = len(seq.tokenization.tokens)
-    if len(seq.labels_a) != n or len(seq.labels_b) != n:
-        problems.append("label lengths differ from token count")
-        return problems
-    prev = "O"
-    for i, (a, b) in enumerate(zip(seq.labels_a, seq.labels_b)):
-        if a not in ("O", "B", "I"):
-            problems.append(f"token {i}: bad boundary label {a!r}")
-        if b not in ("O", "M", "P", "T"):
-            problems.append(f"token {i}: bad type label {b!r}")
-        if a == "I" and prev == "O":
-            problems.append(f"token {i}: I follows O")
-        if (a == "O") != (b == "O"):
-            problems.append(f"token {i}: boundary/type labels disagree on O")
-        prev = a
-    heads = {i for i, a in enumerate(seq.labels_a) if a == "B"}
-    for (i, j), value in seq.relations.items():
-        if value not in ("S", "H"):
-            problems.append(f"cell ({i}, {j}): bad value {value!r}")
-        if i == j:
-            problems.append(f"cell ({i}, {j}): diagonal entry")
-        if not (0 <= i < n and 0 <= j < n):
-            problems.append(f"cell ({i}, {j}): out of range")
-        elif i not in heads or j not in heads:
-            problems.append(f"cell ({i}, {j}): not a head-token pair")
-        if value == "S" and seq.relations.get((j, i)) != "S":
-            problems.append(f"cell ({i}, {j}): S without symmetric cell")
-    return problems
-
-
 def decode_document(
     sequences: list[LabeledSequence],
     text: str,
@@ -450,11 +419,18 @@ def sequences_to_tsv(sequences: list[LabeledSequence]) -> str:
     return "\n\n".join(blocks) + ("\n" if blocks else "")
 
 
-def sequences_from_tsv(content: str, filename: str | None = None) -> list[LabeledSequence]:
+def sequences_from_tsv(
+    content: str, filename: str | None = None, text: str | None = None
+) -> list[LabeledSequence]:
     """Parse the format `sequences_to_tsv` writes.
 
     Raises MalformedLine, carrying `filename` and the line number, for a line
     with the wrong number of fields or a non-integer offset or cell index.
+    Given the document `text` the tokens were cut from, it also raises one
+    for a token whose span lies outside the text (code OFFSET_OUT_OF_BOUNDS)
+    and for one whose text differs from the slice at its offsets (code
+    SURFACE_MISMATCH), so that a sequence file made for another version of
+    the text is not decoded against shifted spans.
     """
     sequences = []
     block_line = 1
@@ -474,14 +450,27 @@ def sequences_from_tsv(content: str, filename: str | None = None) -> list[Labele
                 if fields[0] == "#REL":
                     _, i, j, value = fields
                     cells[(int(i), int(j))] = value
-                else:
-                    text, start, end, a, b = fields
-                    tokens.append(Token(int(start), int(end), text))
-                    labels_a.append(a)
-                    labels_b.append(b)
+                    continue
+                word, start, end, a, b = fields
+                token = Token(int(start), int(end), word)
             except ValueError as exc:  # a wrong field count or a non-integer
                 kind = "#REL" if fields[0] == "#REL" else "token"
                 raise MalformedLine(f"bad {kind} line ({exc})", raw, lineno, filename) from None
+            if text is not None:
+                if not 0 <= token.start < token.end <= len(text):
+                    raise MalformedLine(
+                        f"token span ({token.start}, {token.end}) outside text "
+                        f"of length {len(text)}",
+                        raw, lineno, filename, OFFSET_OUT_OF_BOUNDS,
+                    )
+                if text[token.start : token.end] != word:
+                    raise MalformedLine(
+                        f"token {word!r} != text slice {text[token.start:token.end]!r}",
+                        raw, lineno, filename, SURFACE_MISMATCH,
+                    )
+            tokens.append(token)
+            labels_a.append(a)
+            labels_b.append(b)
         if not tokens:
             continue
         sent = SentenceTokenization(tokens[0].start, tokens[-1].end, tuple(tokens))

@@ -73,7 +73,11 @@ class Keyphrase:
         return (self.start, self.end)
 
     def sort_key(self) -> tuple:
-        return (self.start, self.end, self.ktype.value)
+        # `_value_` is the member's plain attribute.  `value` runs the enum's
+        # Python-level descriptor, a cost on every key of every sort; the
+        # per-item loops of `canonical_form`, `is_canonical` and
+        # `brat.serialize_annotations` read `_value_` for the same reason.
+        return (self.start, self.end, self.ktype._value_)
 
 
 @dataclass(frozen=True)
@@ -301,7 +305,7 @@ def canonical_form(doc: Document) -> Document:
             continue
         if k2 < k1 and rel.rtype is RelationType.SYNONYM_OF:
             k1, k2 = k2, k1
-        key = (rel.rtype.value, k1, k2)
+        key = (rel.rtype._value_, k1, k2)
         if key not in relations:
             # Share the keyphrases' id strings rather than format new ones.
             a1, a2 = keyphrases[k1[2] - 1].id, keyphrases[k2[2] - 1].id
@@ -344,7 +348,7 @@ def is_canonical(doc: Document) -> bool:
     for rel in doc.relations:
         if rel.arg1 == rel.arg2 or rel.arg1 not in arg_key or rel.arg2 not in arg_key:
             return False
-        key = (rel.rtype.value, arg_key[rel.arg1], arg_key[rel.arg2])
+        key = (rel.rtype._value_, arg_key[rel.arg1], arg_key[rel.arg2])
         if rel.rtype is RelationType.SYNONYM_OF and key[2] < key[1]:
             return False
         if prev_rel is not None and key <= prev_rel:
@@ -365,6 +369,11 @@ def drop_invalid(doc: Document) -> tuple[Document, list[str]]:
     """
     _, clean, dropped = _walk(doc)
     return clean, dropped
+
+
+def normalize_surface(surface: str) -> str:
+    """Case-fold and collapse internal whitespace runs to single spaces."""
+    return " ".join(surface.casefold().split())
 
 
 def make_document(

@@ -1,7 +1,10 @@
+import argparse
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import misalignment_corpus, synth_corpus, write_corpus_dir
 from kpeval import (
+    BaselineKind,
     Corpus,
     Scenario,
     canonicalize_document,
@@ -21,7 +25,7 @@ from kpeval import (
     roundtrip_report,
     score_scenario,
 )
-from kpeval.cli import run_cli
+from kpeval.cli import build_parser, run_cli
 from kpeval.scoring import report_to_json
 
 
@@ -331,6 +335,39 @@ def test_convert_to_ann_reports_token_past_text_end(tmp_path, capsys):
     assert "OFFSET_OUT_OF_BOUNDS" in captured.err
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6), st.booleans(), st.text("abXY.é", max_size=6))
+def test_convert_to_ann_rejects_a_token_that_does_not_fit_its_text(seed, past_end, word):
+    """A .seq token whose text differs from its slice, or that lies past the
+    text, leaves its document out with exit 1, naming the file and line."""
+    rng = random.Random(seed)
+    corpus = synth_corpus(rng, 2, n_sentences=2, n_mentions=3, n_relations=1)
+    bad, good = corpus.doc_ids()
+    with tempfile.TemporaryDirectory() as tmp:
+        gold = write_corpus_dir(corpus, Path(tmp) / "gold")
+        seq, ann = Path(tmp) / "seq", Path(tmp) / "ann"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_cli(["convert", "--to", "seq", "--in", str(gold), "--out", str(seq)]) == 0
+        path = seq / f"{bad}.seq"
+        lines = path.read_text(encoding="utf-8").split("\n")
+        i = rng.choice([i for i, line in enumerate(lines) if line and line[0] != "#"])
+        token, start, end, a, b = lines[i].split("\t")
+        if past_end:
+            start = len(corpus[bad].text) + rng.randint(0, 3)
+            end = start + len(token)
+        elif word == token:
+            word += "a"
+        lines[i] = "\t".join(map(str, (token if past_end else word, start, end, a, b)))
+        path.write_text("\n".join(lines), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run_cli(["convert", "--to", "ann", "--in", str(seq), "--out", str(ann)])
+        assert code == 1
+        assert f"{bad}.seq line {i + 1}: " in err.getvalue()
+        assert ("OFFSET_OUT_OF_BOUNDS" if past_end else "SURFACE_MISMATCH") in err.getvalue()
+        assert sorted(p.name for p in ann.iterdir()) == [f"{good}.ann", f"{good}.txt"]
+
+
 def test_score_rejects_jobs_below_one(corpus_dir, capsys):
     code = run_cli([
         "score", "--scenario", "1", "--jobs", "0",
@@ -625,3 +662,40 @@ def test_no_input_makes_a_command_raise(files, genre_map):
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 assert run_cli(argv) in (0, 1, 2), argv
+
+
+# --- each command loads only the modules it runs ------------------------------
+
+_PRINT_LOADED = """
+import sys
+from kpeval.cli import run_cli
+code = run_cli(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.startswith("kpeval")))
+"""
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["--help"], []),
+    (["validate", "{gold}"], ["brat", "model"]),
+    (["score", "--scenario", "1", "--gold", "{gold}", "--pred", "{gold}"],
+     ["brat", "model", "scoring"]),
+    (["convert", "--to", "seq", "--in", "{gold}", "--out", "{out}"],
+     ["brat", "codec", "model"]),
+    (["stats", "{gold}"], ["analytics", "brat", "codec", "model"]),
+])
+def test_each_command_loads_only_the_modules_it_runs(corpus_dir, tmp_path, argv, loaded):
+    argv = [arg.format(gold=corpus_dir, out=tmp_path / "out") for arg in argv]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    run = subprocess.run([sys.executable, "-c", _PRINT_LOADED, *argv],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60, check=True)
+    code, *modules = run.stdout.splitlines()[-1].split()
+    assert code == "0"
+    assert modules == sorted(["kpeval", "kpeval.cli", *(f"kpeval.{m}" for m in loaded)])
+
+
+def test_baseline_kind_choices_are_the_baseline_kinds():
+    (commands,) = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    (kind,) = [a for a in commands.choices["baseline"]._actions if a.dest == "kind"]
+    assert list(kind.choices) == [k.value for k in BaselineKind]

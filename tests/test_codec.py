@@ -32,13 +32,45 @@ from kpeval.codec import (
     SentenceTokenization,
     Token,
     _resolve_overlaps,
-    check_sequence,
     sequences_from_tsv,
     sequences_to_tsv,
 )
 
 K = KeyphraseType
 R = RelationType
+
+
+def check_sequence(seq: LabeledSequence) -> list[str]:
+    """Return a description of every LabeledSequence invariant violation."""
+    problems = []
+    n = len(seq.tokenization.tokens)
+    if len(seq.labels_a) != n or len(seq.labels_b) != n:
+        problems.append("label lengths differ from token count")
+        return problems
+    prev = "O"
+    for i, (a, b) in enumerate(zip(seq.labels_a, seq.labels_b)):
+        if a not in ("O", "B", "I"):
+            problems.append(f"token {i}: bad boundary label {a!r}")
+        if b not in ("O", "M", "P", "T"):
+            problems.append(f"token {i}: bad type label {b!r}")
+        if a == "I" and prev == "O":
+            problems.append(f"token {i}: I follows O")
+        if (a == "O") != (b == "O"):
+            problems.append(f"token {i}: boundary/type labels disagree on O")
+        prev = a
+    heads = {i for i, a in enumerate(seq.labels_a) if a == "B"}
+    for (i, j), value in seq.relations.items():
+        if value not in ("S", "H"):
+            problems.append(f"cell ({i}, {j}): bad value {value!r}")
+        if i == j:
+            problems.append(f"cell ({i}, {j}): diagonal entry")
+        if not (0 <= i < n and 0 <= j < n):
+            problems.append(f"cell ({i}, {j}): out of range")
+        elif i not in heads or j not in heads:
+            problems.append(f"cell ({i}, {j}): not a head-token pair")
+        if value == "S" and seq.relations.get((j, i)) != "S":
+            problems.append(f"cell ({i}, {j}): S without symmetric cell")
+    return problems
 
 
 # --- sentences -------------------------------------------------------------

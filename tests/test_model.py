@@ -18,6 +18,7 @@ from kpeval import (
     RelationType,
     canonicalize_document,
     make_document,
+    serialize_annotations,
     validate_document,
 )
 from kpeval.model import canonical_form, drop_invalid, is_canonical
@@ -150,6 +151,31 @@ def test_canonicalize_drops_relation_between_merged_twins():
     canon = canonicalize_document(doc)
     assert len(canon.keyphrases) == 1
     assert canon.relations == ()
+
+
+def test_same_span_keyphrases_take_ids_in_type_order():
+    # Material < Process < Task among keyphrases of one span, and Hyponym-of
+    # before Synonym-of among relations, whatever order they come in.
+    doc = make_document(
+        "d",
+        "Graphene conducts heat.",
+        [("T1", K.TASK, 0, 8), ("T2", K.MATERIAL, 0, 8), ("T3", K.PROCESS, 0, 8),
+         ("T4", K.MATERIAL, 9, 17)],
+        [(R.SYNONYM_OF, "T4", "T1"), (R.HYPONYM_OF, "T1", "T2")],
+    )
+    canon = canonicalize_document(doc)
+    assert [(kp.id, kp.ktype, kp.span()) for kp in canon.keyphrases] == [
+        ("T1", K.MATERIAL, (0, 8)), ("T2", K.PROCESS, (0, 8)), ("T3", K.TASK, (0, 8)),
+        ("T4", K.MATERIAL, (9, 17)),
+    ]
+    assert canon.relations == (Relation(R.HYPONYM_OF, "T3", "T1"),
+                               Relation(R.SYNONYM_OF, "T3", "T4"))
+    assert is_canonical(canon)
+    assert serialize_annotations(canon) == (
+        "T1\tMaterial 0 8\tGraphene\nT2\tProcess 0 8\tGraphene\n"
+        "T3\tTask 0 8\tGraphene\nT4\tMaterial 9 17\tconducts\n"
+        "*\tSynonym-of T3 T4\nR1\tHyponym-of Arg1:T3 Arg2:T1\n"
+    )
 
 
 def test_canonicalize_rejects_invalid_documents():
