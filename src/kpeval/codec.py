@@ -420,13 +420,12 @@ def sequences_to_tsv(sequences: list[LabeledSequence]) -> str:
 
 
 def sequences_from_tsv(
-    content: str, filename: str | None = None, text: str | None = None
+    content: str, filename: str | None, text: str
 ) -> list[LabeledSequence]:
-    """Parse the format `sequences_to_tsv` writes.
+    """Parse the format `sequences_to_tsv` writes, for the document `text`.
 
     Raises MalformedLine, carrying `filename` and the line number, for a line
-    with the wrong number of fields or a non-integer offset or cell index.
-    Given the document `text` the tokens were cut from, it also raises one
+    with the wrong number of fields or a non-integer offset or cell index,
     for a token whose span lies outside the text (code OFFSET_OUT_OF_BOUNDS)
     and for one whose text differs from the slice at its offsets (code
     SURFACE_MISMATCH), so that a sequence file made for another version of
@@ -456,18 +455,17 @@ def sequences_from_tsv(
             except ValueError as exc:  # a wrong field count or a non-integer
                 kind = "#REL" if fields[0] == "#REL" else "token"
                 raise MalformedLine(f"bad {kind} line ({exc})", raw, lineno, filename) from None
-            if text is not None:
-                if not 0 <= token.start < token.end <= len(text):
-                    raise MalformedLine(
-                        f"token span ({token.start}, {token.end}) outside text "
-                        f"of length {len(text)}",
-                        raw, lineno, filename, OFFSET_OUT_OF_BOUNDS,
-                    )
-                if text[token.start : token.end] != word:
-                    raise MalformedLine(
-                        f"token {word!r} != text slice {text[token.start:token.end]!r}",
-                        raw, lineno, filename, SURFACE_MISMATCH,
-                    )
+            if not 0 <= token.start < token.end <= len(text):
+                raise MalformedLine(
+                    f"token span ({token.start}, {token.end}) outside text "
+                    f"of length {len(text)}",
+                    raw, lineno, filename, OFFSET_OUT_OF_BOUNDS,
+                )
+            if text[token.start : token.end] != word:
+                raise MalformedLine(
+                    f"token {word!r} != text slice {text[token.start:token.end]!r}",
+                    raw, lineno, filename, SURFACE_MISMATCH,
+                )
             tokens.append(token)
             labels_a.append(a)
             labels_b.append(b)

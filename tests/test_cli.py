@@ -682,6 +682,10 @@ print(code, *sorted(m for m in sys.modules if m.startswith("kpeval")))
     (["convert", "--to", "seq", "--in", "{gold}", "--out", "{out}"],
      ["brat", "codec", "model"]),
     (["stats", "{gold}"], ["analytics", "brat", "codec", "model"]),
+    (["agreement", "--a", "{gold}", "--b", "{gold}"],
+     ["analytics", "brat", "codec", "model"]),
+    (["baseline", "--kind", "oracle", "--in", "{gold}", "--out", "{out}"],
+     ["baselines", "brat", "codec", "model", "scoring"]),
 ])
 def test_each_command_loads_only_the_modules_it_runs(corpus_dir, tmp_path, argv, loaded):
     argv = [arg.format(gold=corpus_dir, out=tmp_path / "out") for arg in argv]

@@ -441,7 +441,7 @@ def test_tsv_round_trip_preserves_sequences():
     doc = example_document()
     sequences, _ = encode_document(doc)
     tsv = sequences_to_tsv(sequences)
-    back = sequences_from_tsv(tsv)
+    back = sequences_from_tsv(tsv, None, doc.text)
     assert back == sequences
 
 
@@ -460,13 +460,13 @@ def test_tsv_layout():
 
 def test_tsv_rejects_garbage():
     with pytest.raises(ValueError):
-        sequences_from_tsv("one\ttwo\n")
+        sequences_from_tsv("one\ttwo\n", None, "one two")
 
 
 def test_tsv_malformed_line_names_file_and_line():
     content = "a\t0\t1\tB\tM\n\nb\t2\t3\tO\tO\n#REL\t0\tone\tS\n"
     with pytest.raises(MalformedLine) as info:
-        sequences_from_tsv(content, "doc.seq")
+        sequences_from_tsv(content, "doc.seq", "a b")
     assert (info.value.filename, info.value.lineno) == ("doc.seq", 4)
     assert str(info.value).startswith("doc.seq line 4: bad #REL line")
 
