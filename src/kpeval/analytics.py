@@ -11,19 +11,16 @@ score).  Fleiss' kappa generalizes to any number of raters.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from collections import Counter
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .brat import Corpus
 from .codec import encode_document, tokenize
 from .model import normalize_surface
 
 
-@dataclass(frozen=True)
-class CorpusStats:
+class CorpusStats(NamedTuple):
     n_mentions: int
     n_unique: int
     pct_singleton: float
@@ -33,8 +30,7 @@ class CorpusStats:
     top_k: tuple[tuple[str, int], ...]
 
 
-@dataclass
-class AgreementReport:
+class AgreementReport(NamedTuple):
     kappa: float
     n_docs_included: int
     n_docs_excluded: int
@@ -197,7 +193,7 @@ def stats_to_text(stats: CorpusStats) -> str:
 
 
 def stats_to_json(stats: CorpusStats) -> str:
-    payload = dataclasses.asdict(stats)
+    payload = stats._asdict()
     payload["top_k"] = [list(pair) for pair in stats.top_k]
     return json.dumps(payload, indent=2) + "\n"
 
@@ -212,4 +208,4 @@ def agreement_to_text(report: AgreementReport) -> str:
 
 
 def agreement_to_json(report: AgreementReport) -> str:
-    return json.dumps(dataclasses.asdict(report), indent=2) + "\n"
+    return json.dumps(report._asdict(), indent=2) + "\n"

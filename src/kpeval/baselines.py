@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass
 
 from .brat import Corpus
 from .codec import (
@@ -138,13 +137,13 @@ def _random_cells(heads: list[int], rng: random.Random) -> dict[tuple[int, int],
     return cells
 
 
-@dataclass(frozen=True)
 class Gazetteer:
     """Normalized training surfaces with their majority type and frequency,
     and the length in characters of the longest surface."""
 
-    entries: dict[str, tuple[KeyphraseType, int]]
-    max_chars: int
+    def __init__(self, entries: dict[str, tuple[KeyphraseType, int]], max_chars: int) -> None:
+        self.entries = entries
+        self.max_chars = max_chars
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -22,12 +22,10 @@ Parsing of distinct documents is pure and may run concurrently.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import itertools
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .model import (
     Document,
@@ -70,8 +68,7 @@ class AnnKind(enum.Enum):
     EQUIVALENCE = "equivalence"
 
 
-@dataclass(frozen=True)
-class AnnLine:
+class AnnLine(NamedTuple):
     """One parsed .ann line, before document assembly."""
 
     kind: AnnKind
@@ -84,14 +81,11 @@ class AnnLine:
     args: tuple[str, ...] = ()
 
 
-@dataclass
 class Corpus:
-    """Documents keyed and iterated by doc_id."""
+    """Documents keyed and iterated by doc_id, in doc_id order."""
 
-    documents: dict[str, Document] = dataclasses.field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self.documents = dict(sorted(self.documents.items()))
+    def __init__(self, documents: dict[str, Document] | None = None) -> None:
+        self.documents = dict(sorted(documents.items())) if documents else {}
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -206,10 +200,13 @@ def parse_document_pair(
             continue
         if parsed.kind is AnnKind.ENTITY:
             surface = text[parsed.start : parsed.end] if parsed.end <= n else ""
-            kp = Keyphrase(id=parsed.id, ktype=parsed.ktype,
-                           start=parsed.start, end=parsed.end, surface=surface)
-            keyphrases.append(kp)
-            if surface and surface.translate(_FLATTEN) != parsed.surface:
+            keyphrases.append(
+                Keyphrase(parsed.id, parsed.ktype, parsed.start, parsed.end, surface)
+            )
+            # The column holds no line break or tab, so a slice equal to it
+            # needs no flattening.
+            if (surface and surface != parsed.surface
+                    and surface.translate(_FLATTEN) != parsed.surface):
                 report.error(
                     doc_id,
                     "SURFACE_MISMATCH",

@@ -223,7 +223,7 @@ def _read_genre_map(path: Path) -> dict[str, str]:
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
-    from . import brat, codec, model
+    from . import brat, codec
 
     files: dict[str, str] = {}  # output file name -> content
     if args.to == "seq":
@@ -250,9 +250,6 @@ def cmd_convert(args: argparse.Namespace) -> int:
                 doc = codec.decode_document(sequences, text, path.stem)
             except brat.MalformedLine as exc:
                 report.error(path.stem, exc.code, str(exc))
-                continue
-            except ValueError as exc:  # tokens out of order make a reversed span
-                report.error(path.stem, model.OFFSET_OUT_OF_BOUNDS, f"{path.name}: {exc}")
                 continue
             files[f"{path.stem}.ann"] = brat.serialize_annotations(doc)
             files[f"{path.stem}.txt"] = text

@@ -35,10 +35,9 @@ All functions are pure.
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import operator
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .brat import MalformedLine
 from .model import (
@@ -50,7 +49,7 @@ from .model import (
     KeyphraseType,
     Relation,
     RelationType,
-    canonicalize_document,
+    canonical_form,
     make_document,
 )
 
@@ -72,15 +71,13 @@ _SENTENCE_BREAK = re.compile(
 _TOKEN = re.compile(r"[^\W_]+(?:[-_.'+][^\W_]+)*|\S", re.UNICODE)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     start: int
     end: int
     text: str
 
 
-@dataclass(frozen=True)
-class SentenceTokenization:
+class SentenceTokenization(NamedTuple):
     """Tokens of one sentence; the sentence span is trimmed to its tokens."""
 
     sentence_start: int
@@ -88,23 +85,22 @@ class SentenceTokenization:
     tokens: tuple[Token, ...]
 
 
-@dataclass(frozen=True)
-class LabeledSequence:
+class LabeledSequence(NamedTuple):
     """Per-token labels for one sentence.
 
     `relations` is the sparse form of the n-by-n relation grid: missing cells
-    are O.  Valid sequences satisfy: an I never follows an O, the type label
-    is O exactly where the boundary label is O, non-O cells sit only at head
-    (B) token pairs off the diagonal, and S cells are symmetric.
+    are O.  Each sequence needs a dict of its own, so it has no default.
+    Valid sequences satisfy: an I never follows an O, the type label is O
+    exactly where the boundary label is O, non-O cells sit only at head (B)
+    token pairs off the diagonal, and S cells are symmetric.
     """
 
     tokenization: SentenceTokenization
     labels_a: tuple[str, ...]
     labels_b: tuple[str, ...]
-    relations: dict[tuple[int, int], str] = dataclasses.field(default_factory=dict)
+    relations: dict[tuple[int, int], str]
 
 
-@dataclass
 class AlignmentOutcome:
     """Bookkeeping of what survived the span-to-token conversion.
 
@@ -114,9 +110,15 @@ class AlignmentOutcome:
     `dropped_relations`.
     """
 
-    aligned: dict[str, tuple[int, tuple[int, int]]] = dataclasses.field(default_factory=dict)
-    dropped_spans: list[tuple[str, str]] = dataclasses.field(default_factory=list)
-    dropped_relations: list[tuple[Relation, str]] = dataclasses.field(default_factory=list)
+    def __init__(
+        self,
+        aligned: dict[str, tuple[int, tuple[int, int]]] | None = None,
+        dropped_spans: list[tuple[str, str]] | None = None,
+        dropped_relations: list[tuple[Relation, str]] | None = None,
+    ) -> None:
+        self.aligned = {} if aligned is None else aligned
+        self.dropped_spans = [] if dropped_spans is None else dropped_spans
+        self.dropped_relations = [] if dropped_relations is None else dropped_relations
 
 
 def split_sentences(text: str) -> list[tuple[int, int]]:
@@ -267,7 +269,7 @@ def encode_document(
         labels_a[s_idx][first:last] = ["B"] + ["I"] * (last - first - 1)
         labels_b[s_idx][first:last] = [by_id[kp_id].ktype.letter] * (last - first)
     sequences = [
-        LabeledSequence(sent, tuple(a), tuple(b))
+        LabeledSequence(sent, tuple(a), tuple(b), {})
         for sent, a, b in zip(tokenizations, labels_a, labels_b)
     ]
 
@@ -323,6 +325,8 @@ def decode_document(
     are ignored, type ties break by the fixed Material > Process > Task
     priority, and relation cells that do not sit on a valid head pair are
     discarded.  Each repair appends a message to `repairs` when given.
+    Raises ValueError, as `canonicalize_document` does, for a span that is
+    empty or outside `text`: tokens out of order or past the text make one.
     """
 
     def note(msg: str) -> None:
@@ -384,8 +388,20 @@ def decode_document(
                 relations.append((RelationType.SYNONYM_OF, head_to_id[i], head_to_id[j]))
             else:
                 note(f"sentence {s_idx}: cell ({i}, {j}) has unknown value {value!r}")
-    doc = make_document(doc_id, text, keyphrases, relations)
-    return canonicalize_document(doc)
+    # Ids are T1..Tn, surfaces are text slices and each relation joins two
+    # distinct heads of one sentence, so only a span can break an invariant:
+    # tokens out of order or outside the text.  Fail as canonicalize_document
+    # would, without validating the rest.
+    n = len(text)
+    bad = [kp for kp in keyphrases if not 0 <= kp[2] < kp[3] <= n]
+    if bad:
+        kp_id, _, start, end = bad[0]
+        raise ValueError(
+            f"cannot canonicalize {doc_id}: {len(bad)} validation error(s), first: "
+            f"[{OFFSET_OUT_OF_BOUNDS}] {kp_id}: span ({start}, {end}) outside "
+            f"text of length {n}"
+        )
+    return canonical_form(make_document(doc_id, text, keyphrases, relations))
 
 
 def _majority_type(votes: list[str]) -> KeyphraseType:
@@ -426,10 +442,12 @@ def sequences_from_tsv(
 
     Raises MalformedLine, carrying `filename` and the line number, for a line
     with the wrong number of fields or a non-integer offset or cell index,
-    for a token whose span lies outside the text (code OFFSET_OUT_OF_BOUNDS)
-    and for one whose text differs from the slice at its offsets (code
+    for a token whose span lies outside the text (code OFFSET_OUT_OF_BOUNDS),
+    for one whose text differs from the slice at its offsets (code
     SURFACE_MISMATCH), so that a sequence file made for another version of
-    the text is not decoded against shifted spans.
+    the text is not decoded against shifted spans, and for one that starts
+    before the previous token of its sentence ends.  The sequences returned
+    therefore always decode.
     """
     sequences = []
     block_line = 1
@@ -465,6 +483,12 @@ def sequences_from_tsv(
                 raise MalformedLine(
                     f"token {word!r} != text slice {text[token.start:token.end]!r}",
                     raw, lineno, filename, SURFACE_MISMATCH,
+                )
+            if tokens and token.start < tokens[-1].end:
+                raise MalformedLine(
+                    f"token out of order: starts at {token.start}, before the "
+                    f"previous token ends at {tokens[-1].end}",
+                    raw, lineno, filename,
                 )
             tokens.append(token)
             labels_a.append(a)

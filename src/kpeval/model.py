@@ -2,17 +2,17 @@
 
 A document is one paragraph of plain text plus a set of typed character-offset
 spans (keyphrases) and a set of typed links between them (relations).  All
-offsets count Unicode code points of the document text, never bytes.  Types
-are immutable; every operation here is a pure function, so documents can be
-shared freely across worker threads or processes.
+offsets count Unicode code points of the document text, never bytes.  The
+records are `NamedTuple`s: immutable, cheap to build, and copied with changes
+by `_replace`.  Every operation here is a pure function, so documents can be
+shared freely across worker threads or processes.  `ValidationReport`, which
+collects findings, is the one mutable class.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import enum
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 class KeyphraseType(enum.Enum):
@@ -59,8 +59,7 @@ class RelationType(enum.Enum):
 _RELATION_BY_NAME = {t.value.casefold(): t for t in RelationType}
 
 
-@dataclass(frozen=True)
-class Keyphrase:
+class Keyphrase(NamedTuple):
     """A typed span. `surface` must equal the owning document's text[start:end]."""
 
     id: str
@@ -80,8 +79,7 @@ class Keyphrase:
         return (self.start, self.end, self.ktype._value_)
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     """A typed link between two keyphrase ids of the same document."""
 
     rtype: RelationType
@@ -89,8 +87,7 @@ class Relation:
     arg2: str
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     """One paragraph of text with its keyphrases and relations.
 
     Annotations are stored as tuples; `canonicalize_document` fixes their
@@ -107,14 +104,19 @@ class Document:
         return {k.id: k for k in self.keyphrases}
 
 
-@dataclass
 class ValidationReport:
     """(doc_id, code, message) entries, errors being hard violations, and one
     (doc_id, message) per annotation a loader stripped, which `ok` ignores."""
 
-    errors: list[tuple[str, str, str]] = dataclasses.field(default_factory=list)
-    warnings: list[tuple[str, str, str]] = dataclasses.field(default_factory=list)
-    dropped: list[tuple[str, str]] = dataclasses.field(default_factory=list)
+    def __init__(
+        self,
+        errors: list[tuple[str, str, str]] | None = None,
+        warnings: list[tuple[str, str, str]] | None = None,
+        dropped: list[tuple[str, str]] | None = None,
+    ) -> None:
+        self.errors = [] if errors is None else errors
+        self.warnings = [] if warnings is None else warnings
+        self.dropped = [] if dropped is None else dropped
 
     @property
     def ok(self) -> bool:
@@ -158,7 +160,7 @@ def _walk(doc: Document) -> tuple[ValidationReport, Document, list[str]]:
     n = len(doc.text)
     seen_ids: dict[str, Keyphrase] = {}  # first definition of each id
     kept: dict[str, Keyphrase] = {}  # first valid keyphrase of each id
-    seen_spans: set[tuple[int, int, KeyphraseType]] = set()
+    seen_spans: set[tuple[int, int, str]] = set()  # sort keys, which hash no enum
     for kp in doc.keyphrases:
         drop = None  # why drop_invalid strips this keyphrase, if it does
         if not (0 <= kp.start < kp.end <= n):
@@ -186,7 +188,7 @@ def _walk(doc: Document) -> tuple[ValidationReport, Document, list[str]]:
             kept[kp.id] = kp
         else:
             dropped.append(f"keyphrase {kp.id}: {drop}")
-        key = (kp.start, kp.end, kp.ktype)
+        key = kp.sort_key()
         if key in seen_spans:
             report.warn(
                 doc.doc_id,

@@ -19,10 +19,9 @@ that pooling is a documented reconstruction, selectable via `pool`.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .brat import Corpus
 from .model import Document, RelationType
@@ -51,31 +50,37 @@ _SCENARIO_SUBTASKS = {
 }
 
 
-@dataclass(frozen=True)
-class MatchCounts:
+class MatchCounts(NamedTuple):
     tp: int = 0
     fp: int = 0
     fn: int = 0
 
     def __add__(self, other: "MatchCounts") -> "MatchCounts":
+        """Field-wise sum, not tuple concatenation."""
         return MatchCounts(self.tp + other.tp, self.fp + other.fp, self.fn + other.fn)
 
 
-@dataclass(frozen=True)
-class SubtaskScore:
+class SubtaskScore(NamedTuple):
     counts: MatchCounts
     precision: float
     recall: float
     f1: float
 
 
-@dataclass
 class ScoreReport:
-    scenario: Scenario
-    subtasks: dict[Subtask, SubtaskScore]
-    overall: SubtaskScore
-    pool: str = "bc"
-    diagnostics: list[str] = dataclasses.field(default_factory=list)
+    def __init__(
+        self,
+        scenario: Scenario,
+        subtasks: dict[Subtask, SubtaskScore],
+        overall: SubtaskScore,
+        pool: str = "bc",
+        diagnostics: list[str] | None = None,
+    ) -> None:
+        self.scenario = scenario
+        self.subtasks = subtasks
+        self.overall = overall
+        self.pool = pool
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
 
 def items(subtask: Subtask, doc: Document) -> set[tuple]:

@@ -335,6 +335,26 @@ def test_convert_to_ann_reports_token_past_text_end(tmp_path, capsys):
     assert "OFFSET_OUT_OF_BOUNDS" in captured.err
 
 
+def test_convert_to_ann_reports_seq_tokens_out_of_order(corpus_dir, tmp_path, capsys):
+    seq, ann = tmp_path / "seq", tmp_path / "ann"
+    assert run_cli(["convert", "--to", "seq", "--in", str(corpus_dir), "--out", str(seq)]) == 0
+    (seq / "d.txt").write_text("Graphene conducts heat.", encoding="utf-8")
+    (seq / "d.seq").write_text("heat\t18\t22\tB\tM\nGraphene\t0\t8\tI\tM\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli(["convert", "--to", "ann", "--in", str(seq), "--out", str(ann)]) == 1
+    captured = capsys.readouterr()
+    _assert_clean_failure(captured, "d.seq line 2")
+    assert captured.err == (
+        "ERROR   [MALFORMED_LINE] d.seq line 2: token out of order: starts at 0, "
+        "before the previous token ends at 22: 'Graphene\\t0\\t8\\tI\\tM'\n"
+    )
+    # Every other document is still converted.
+    stems = sorted(p.stem for p in corpus_dir.glob("*.ann"))
+    assert sorted(p.name for p in ann.iterdir()) == sorted(
+        f"{stem}{ext}" for stem in stems for ext in (".ann", ".txt")
+    )
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10**6), st.booleans(), st.text("abXY.é", max_size=6))
 def test_convert_to_ann_rejects_a_token_that_does_not_fit_its_text(seed, past_end, word):
@@ -666,11 +686,15 @@ def test_no_input_makes_a_command_raise(files, genre_map):
 
 # --- each command loads only the modules it runs ------------------------------
 
+# The exit code and the kpeval modules a command loaded, then which of
+# `dataclasses` and `inspect` it loaded: kpeval's records are NamedTuples and
+# plain classes, so that no command pays for importing those.
 _PRINT_LOADED = """
 import sys
 from kpeval.cli import run_cli
 code = run_cli(sys.argv[1:])
 print(code, *sorted(m for m in sys.modules if m.startswith("kpeval")))
+print("stdlib:", *sorted({"dataclasses", "inspect"} & set(sys.modules)))
 """
 
 
@@ -686,16 +710,28 @@ print(code, *sorted(m for m in sys.modules if m.startswith("kpeval")))
      ["analytics", "brat", "codec", "model"]),
     (["baseline", "--kind", "oracle", "--in", "{gold}", "--out", "{out}"],
      ["baselines", "brat", "codec", "model", "scoring"]),
+    (["convert", "--to", "ann", "--in", "{seq}", "--out", "{out}"],
+     ["brat", "codec", "model"]),
+    (["baseline", "--kind", "random", "--in", "{gold}", "--out", "{out}"],
+     ["baselines", "brat", "codec", "model", "scoring"]),
+    (["baseline", "--kind", "gazetteer", "--in", "{gold}", "--train", "{gold}",
+      "--out", "{out}"],
+     ["baselines", "brat", "codec", "model", "scoring"]),
 ])
 def test_each_command_loads_only_the_modules_it_runs(corpus_dir, tmp_path, argv, loaded):
-    argv = [arg.format(gold=corpus_dir, out=tmp_path / "out") for arg in argv]
+    seq = tmp_path / "seq"
+    if "{seq}" in argv:
+        assert run_cli(["convert", "--to", "seq", "--in", str(corpus_dir), "--out", str(seq)]) == 0
+    argv = [arg.format(gold=corpus_dir, seq=seq, out=tmp_path / "out") for arg in argv]
     src = str(Path(__file__).resolve().parents[1] / "src")
     run = subprocess.run([sys.executable, "-c", _PRINT_LOADED, *argv],
                          env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, timeout=60, check=True)
-    code, *modules = run.stdout.splitlines()[-1].split()
+    *_, kpeval_line, stdlib_line = run.stdout.splitlines()
+    code, *modules = kpeval_line.split()
     assert code == "0"
     assert modules == sorted(["kpeval", "kpeval.cli", *(f"kpeval.{m}" for m in loaded)])
+    assert stdlib_line == "stdlib:"
 
 
 def test_baseline_kind_choices_are_the_baseline_kinds():

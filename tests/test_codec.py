@@ -373,6 +373,43 @@ def test_decode_one_sided_synonym_cell_is_repaired():
     assert repairs
 
 
+def test_decode_rejects_spans_that_tokens_out_of_place_make():
+    """A reversed, empty or out-of-bounds span fails with the error text of
+    canonicalize_document, which counts them all and names the first."""
+    text = "Graphene conducts heat."
+    tokens = (
+        Token(9, 17, "conducts"),  # T1 (9, 17): valid
+        Token(18, 22, "heat"), Token(0, 8, "Graphene"),  # T2 (18, 8): reversed
+        Token(18, 22, "heat"), Token(9, 17, "conducts"),  # T3 (18, 17): reversed
+        Token(5, 5, ""),  # T4 (5, 5): empty
+        Token(20, 30, "heat"),  # T5 (20, 30): past the end
+        Token(-2, 3, "Gr"),  # T6 (-2, 3): before the start
+    )
+    labels_a = ("B", "B", "I", "B", "I", "B", "B", "B")
+    seq = LabeledSequence(
+        SentenceTokenization(0, 23, tokens), labels_a, ("M",) * len(tokens), {}
+    )
+    spans = [(9, 17), (18, 8), (18, 17), (5, 5), (20, 30), (-2, 3)]
+    with pytest.raises(ValueError) as expected:
+        canonicalize_document(make_document(
+            "d", text, [(f"T{i}", K.MATERIAL, s, e) for i, (s, e) in enumerate(spans, 1)]
+        ))
+    assert "5 validation error(s), first: [OFFSET_OUT_OF_BOUNDS] T2: span (18, 8)" in str(
+        expected.value
+    )
+    with pytest.raises(ValueError) as decoded:
+        decode_document([seq], text, "d")
+    assert str(decoded.value) == str(expected.value)
+
+
+def test_encoded_sequences_do_not_share_a_relations_dict():
+    sequences, _ = encode_document(example_document())
+    assert len(sequences) == 3
+    assert len({id(seq.relations) for seq in sequences}) == len(sequences)
+    sequences[0].relations[(0, 0)] = "S"
+    assert all((0, 0) not in seq.relations for seq in sequences[1:])
+
+
 # --- round trip ------------------------------------------------------------
 
 
@@ -471,6 +508,24 @@ def test_tsv_malformed_line_names_file_and_line():
     assert str(info.value).startswith("doc.seq line 4: bad #REL line")
 
 
+def test_tsv_rejects_a_token_that_starts_before_the_previous_one_ends():
+    content = "Graphene\t0\t8\tB\tM\nheat\t18\t22\tB\tM\nconducts\t9\t17\tO\tO\n"
+    with pytest.raises(MalformedLine) as info:
+        sequences_from_tsv(content, "d.seq", "Graphene conducts heat.")
+    assert (info.value.filename, info.value.lineno) == ("d.seq", 3)
+    assert info.value.reason == (
+        "token out of order: starts at 9, before the previous token ends at 22"
+    )
+
+
+def test_tsv_accepts_touching_tokens_and_sentences_in_any_order():
+    content = "heat\t18\t22\tB\tM\n.\t22\t23\tO\tO\n\nGraphene\t0\t8\tB\tM\n"
+    sequences = sequences_from_tsv(content, "d.seq", "Graphene conducts heat.")
+    assert [[t.text for t in seq.tokenization.tokens] for seq in sequences] == [
+        ["heat", "."], ["Graphene"],
+    ]
+
+
 # --- the codec against its quadratic reference ----------------------------
 # The straightforward algorithms below define the codec's output exactly:
 # every keyphrase scans every sentence, snapping scans every token of the
@@ -549,7 +604,7 @@ def _reference_encode(doc, snap):
         elif a1[0] != a2[0]:
             outcome.dropped_relations.append((rel, CROSS_SENTENCE_RELATION))
     sequences = [
-        LabeledSequence(sent, ("O",) * len(sent.tokens), ("O",) * len(sent.tokens))
+        LabeledSequence(sent, ("O",) * len(sent.tokens), ("O",) * len(sent.tokens), {})
         for sent in tokenizations
     ]
     for kp_id, (s_idx, (first, last)) in outcome.aligned.items():

@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import random
 import subprocess
@@ -99,6 +98,15 @@ def test_duplicate_span_is_a_warning():
     report = validate_document(doc)
     assert report.errors == []
     assert [w[1] for w in report.warnings] == ["DUPLICATE_SPAN"]
+
+
+def test_duplicate_span_needs_the_same_type():
+    doc = make_document("d", "alpha beta", [
+        ("T1", K.TASK, 0, 5), ("T2", K.PROCESS, 0, 5), ("T3", K.TASK, 0, 5),
+    ])
+    assert validate_document(doc).warnings == [
+        ("d", "DUPLICATE_SPAN", "T3: duplicates span (0, 5, Task)"),
+    ]
 
 
 def test_canonicalize_orders_synonym_args():
@@ -479,7 +487,7 @@ def _reference_canonical_form(doc):
     ordered = sorted(merged.values(), key=Keyphrase.sort_key)
     new_ids = {(kp.start, kp.end, kp.ktype): f"T{i}" for i, kp in enumerate(ordered, 1)}
     keyphrases = tuple(
-        dataclasses.replace(kp, id=new_ids[(kp.start, kp.end, kp.ktype)]) for kp in ordered
+        kp._replace(id=new_ids[(kp.start, kp.end, kp.ktype)]) for kp in ordered
     )
     span_of = {new_ids[key]: key[:2] for key in new_ids}
 

@@ -6,6 +6,11 @@ from pathlib import Path
 import pytest
 
 import kpeval
+from kpeval.analytics import AgreementReport, CorpusStats
+from kpeval.brat import AnnKind, AnnLine
+from kpeval.codec import LabeledSequence, SentenceTokenization, Token
+from kpeval.model import Document, Keyphrase, KeyphraseType, Relation, RelationType
+from kpeval.scoring import MatchCounts, SubtaskScore
 
 
 def test_every_public_name_is_the_object_its_home_module_defines():
@@ -40,3 +45,33 @@ def test_names_and_submodules_load_on_first_use():
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         kpeval.no_such_name
+
+
+_SENTENCE = SentenceTokenization(0, 4, (Token(0, 4, "Iron"),))
+RECORDS = [
+    Keyphrase("T1", KeyphraseType.MATERIAL, 0, 4, "Iron"),
+    Relation(RelationType.HYPONYM_OF, "T1", "T2"),
+    Document("d", "Iron"),
+    AnnLine(AnnKind.ENTITY),
+    Token(0, 4, "Iron"),
+    _SENTENCE,
+    LabeledSequence(_SENTENCE, ("B",), ("M",), {}),
+    MatchCounts(1, 2, 3),
+    SubtaskScore(MatchCounts(), 0.0, 0.0, 0.0),
+    CorpusStats(1, 1, 100.0, 100.0, 0.0, 0.0, (("iron", 1),)),
+    AgreementReport(1.0, 1, 0, "token_a", 4),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__name__)
+def test_records_reject_assignment_and_copy_with_replace(record):
+    first, *_ = record._fields
+    with pytest.raises(AttributeError):
+        setattr(record, first, "changed")
+    with pytest.raises(AttributeError):
+        record.extra = "changed"
+    changed = record._replace(**{first: "changed"})
+    assert type(changed) is type(record)
+    assert (changed[0], changed[1:]) == ("changed", record[1:])
+    assert getattr(record, first) != "changed"
+    assert record._asdict() == dict(zip(record._fields, record))
