@@ -236,20 +236,22 @@ def serialize_annotations(doc: Document) -> str:
     if not is_canonical(doc):
         raise ValueError(f"document {doc.doc_id} is not canonical; "
                          "run canonicalize_document first")
-    lines = []
-    for kp in doc.keyphrases:
-        lines.append(f"{kp.id}\t{kp.ktype._value_} {kp.start} {kp.end}\t"
-                     f"{kp.surface.translate(_FLATTEN)}")
-    for rel in doc.relations:
-        if rel.rtype is RelationType.SYNONYM_OF:
-            lines.append(f"*\t{rel.rtype._value_} {rel.arg1} {rel.arg2}")
-    r_count = 0
-    for rel in doc.relations:
-        if rel.rtype is RelationType.HYPONYM_OF:
-            r_count += 1
-            lines.append(f"R{r_count}\t{rel.rtype._value_} "
-                         f"Arg1:{rel.arg1} Arg2:{rel.arg2}")
-    return "".join(line + "\n" for line in lines)
+    lines = [
+        f"{kp.id}\t{kp.ktype._value_} {kp.start} {kp.end}\t"
+        f"{kp.surface.translate(_FLATTEN)}\n"
+        for kp in doc.keyphrases
+    ]
+    lines += [
+        f"*\t{rel.rtype._value_} {rel.arg1} {rel.arg2}\n"
+        for rel in doc.relations
+        if rel.rtype is RelationType.SYNONYM_OF
+    ]
+    hyponyms = [rel for rel in doc.relations if rel.rtype is RelationType.HYPONYM_OF]
+    lines += [
+        f"R{r}\t{rel.rtype._value_} Arg1:{rel.arg1} Arg2:{rel.arg2}\n"
+        for r, rel in enumerate(hyponyms, 1)
+    ]
+    return "".join(lines)
 
 
 def read_utf8(path: Path, newline: str | None = None) -> str:

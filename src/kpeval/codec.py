@@ -50,7 +50,8 @@ from .model import (
     Relation,
     RelationType,
     canonical_form,
-    make_document,
+    relation_key,
+    relations_from_keys,
 )
 
 # Reasons a span or relation is dropped during alignment / encoding.
@@ -61,7 +62,9 @@ CROSS_SENTENCE_RELATION = "CROSS_SENTENCE_RELATION"
 ARGUMENT_DROPPED = "ARGUMENT_DROPPED"
 CELL_CONFLICT = "CELL_CONFLICT"
 
-_LETTER_TO_TYPE = {t.letter: t for t in KeyphraseType}
+# The type label of each keyphrase type, keyed by the type's value: reading
+# `KeyphraseType.letter` runs the enum's Python-level `value` descriptor.
+_LETTER = {t._value_: t._value_[0] for t in KeyphraseType}
 
 _SENTENCE_BREAK = re.compile(
     r"[.!?][\)\]\}\"'’”]*(?=\s)"
@@ -267,7 +270,7 @@ def encode_document(
     labels_b = [["O"] * len(sent.tokens) for sent in tokenizations]
     for kp_id, (s_idx, (first, last)) in outcome.aligned.items():
         labels_a[s_idx][first:last] = ["B"] + ["I"] * (last - first - 1)
-        labels_b[s_idx][first:last] = [by_id[kp_id].ktype.letter] * (last - first)
+        labels_b[s_idx][first:last] = [_LETTER[by_id[kp_id].ktype._value_]] * (last - first)
     sequences = [
         LabeledSequence(sent, tuple(a), tuple(b), {})
         for sent, a, b in zip(tokenizations, labels_a, labels_b)
@@ -327,15 +330,24 @@ def decode_document(
     discarded.  Each repair appends a message to `repairs` when given.
     Raises ValueError, as `canonicalize_document` does, for a span that is
     empty or outside `text`: tokens out of order or past the text make one.
+
+    Spans are numbered T1..Tn in the order they are found.  When each span
+    starts at or after the previous one ends, as in every sequence list that
+    `encode_document` or `tokenize_document` makes, that order is canonical
+    and the document is built canonical.  Otherwise (sentences out of text
+    order or overlapping) it is put in canonical form afterwards.
     """
 
     def note(msg: str) -> None:
         if repairs is not None:
             repairs.append(msg)
 
-    keyphrases: list[tuple[str, KeyphraseType, int, int]] = []
-    relations: list[tuple[RelationType, str, str]] = []
-    counter = 0
+    keyphrases: list[Keyphrase] = []
+    relation_keys: list[tuple[str, int, int]] = []
+    bad: list[Keyphrase] = []  # spans that break the bounds invariant
+    n = len(text)
+    prev_end = 0
+    in_order = True  # every span starts at or after the previous one ends
     for s_idx, seq in enumerate(sequences):
         tokens = seq.tokenization.tokens
         runs: list[tuple[int, int]] = []
@@ -360,55 +372,66 @@ def decode_document(
         if start_i is not None:
             runs.append((start_i, len(seq.labels_a)))
 
-        head_to_id: dict[int, str] = {}
+        head_number: dict[int, int] = {}  # head token -> i of its keyphrase Ti
         for first, last in runs:
-            votes = [seq.labels_b[i] for i in range(first, last) if seq.labels_b[i] != "O"]
+            votes = [b for b in seq.labels_b[first:last] if b != "O"]
             if len(votes) < last - first:
                 note(f"sentence {s_idx}: span at token {first} has O type labels")
-            ktype = _majority_type(votes)
-            counter += 1
-            kp_id = f"T{counter}"
-            head_to_id[first] = kp_id
-            keyphrases.append((kp_id, ktype, tokens[first].start, tokens[last - 1].end))
+            number = len(keyphrases) + 1
+            head_number[first] = number
+            start, end = tokens[first].start, tokens[last - 1].end
+            kp = Keyphrase(f"T{number}", _majority_type(votes), start, end, text[start:end])
+            keyphrases.append(kp)
+            if not 0 <= start < end <= n:
+                bad.append(kp)
+            if start < prev_end:
+                in_order = False
+            prev_end = end
 
-        seen_syn: set[frozenset[int]] = set()
-        for (i, j), value in sorted(seq.relations.items()):
-            if i == j or i not in head_to_id or j not in head_to_id:
+        cells = seq.relations
+        for (i, j), value in sorted(cells.items()):
+            if i == j or i not in head_number or j not in head_number:
                 note(f"sentence {s_idx}: cell ({i}, {j}) is not a valid head pair")
                 continue
             if value == "H":
-                relations.append((RelationType.HYPONYM_OF, head_to_id[i], head_to_id[j]))
+                relation_keys.append(
+                    relation_key(RelationType.HYPONYM_OF, head_number[i], head_number[j])
+                )
             elif value == "S":
-                pair = frozenset((i, j))
-                if pair in seen_syn:
-                    continue
-                if seq.relations.get((j, i)) != "S":
+                mirrored = cells.get((j, i)) == "S"
+                if mirrored and j < i:
+                    continue  # the same pair, already read from cell (j, i)
+                if not mirrored:
                     note(f"sentence {s_idx}: cell ({i}, {j}) S without mirror cell")
-                seen_syn.add(pair)
-                relations.append((RelationType.SYNONYM_OF, head_to_id[i], head_to_id[j]))
+                relation_keys.append(
+                    relation_key(RelationType.SYNONYM_OF, head_number[i], head_number[j])
+                )
             else:
                 note(f"sentence {s_idx}: cell ({i}, {j}) has unknown value {value!r}")
     # Ids are T1..Tn, surfaces are text slices and each relation joins two
     # distinct heads of one sentence, so only a span can break an invariant:
     # tokens out of order or outside the text.  Fail as canonicalize_document
     # would, without validating the rest.
-    n = len(text)
-    bad = [kp for kp in keyphrases if not 0 <= kp[2] < kp[3] <= n]
     if bad:
-        kp_id, _, start, end = bad[0]
+        first_bad = bad[0]
         raise ValueError(
             f"cannot canonicalize {doc_id}: {len(bad)} validation error(s), first: "
-            f"[{OFFSET_OUT_OF_BOUNDS}] {kp_id}: span ({start}, {end}) outside "
-            f"text of length {n}"
+            f"[{OFFSET_OUT_OF_BOUNDS}] {first_bad.id}: span ({first_bad.start}, "
+            f"{first_bad.end}) outside text of length {n}"
         )
-    return canonical_form(make_document(doc_id, text, keyphrases, relations))
+    doc = Document(
+        doc_id, text, tuple(keyphrases), relations_from_keys(relation_keys, keyphrases)
+    )
+    # In order, the spans are disjoint and increasing, so their numbers are
+    # their canonical ones and no two merge.
+    return doc if in_order else canonical_form(doc)
 
 
 def _majority_type(votes: list[str]) -> KeyphraseType:
     best = None
     best_count = -1
     for t in TYPE_PRIORITY:
-        count = votes.count(t.letter)
+        count = votes.count(_LETTER[t._value_])
         if count > best_count:
             best, best_count = t, count
     return best

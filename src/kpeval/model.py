@@ -12,7 +12,7 @@ collects findings, is the one mutable class.
 from __future__ import annotations
 
 import enum
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 
 class KeyphraseType(enum.Enum):
@@ -57,6 +57,7 @@ class RelationType(enum.Enum):
 
 
 _RELATION_BY_NAME = {t.value.casefold(): t for t in RelationType}
+_RELATION_BY_VALUE = {t.value: t for t in RelationType}
 
 
 class Keyphrase(NamedTuple):
@@ -283,34 +284,28 @@ def canonical_form(doc: Document) -> Document:
         key_of[kp.id] = key
 
     keyphrases: list[Keyphrase] = []
-    # Sort key -> argument key (start, end, i) of the canonical keyphrase Ti.
-    # Two keyphrases may share a span and differ in type; canonical ids are
-    # assigned in type order, so i breaks the tie.
-    arg_key: dict[tuple, tuple[int, int, int]] = {}
+    number: dict[tuple, int] = {}  # sort key -> i of the canonical keyphrase Ti
     for i, key in enumerate(sorted(merged), 1):
         kp = merged[key]
         kid = f"T{i}"
         if kp.id != kid:
             kp = Keyphrase(kid, kp.ktype, kp.start, kp.end, kp.surface)
         keyphrases.append(kp)
-        arg_key[key] = (kp.start, kp.end, i)
+        number[key] = i
 
-    # Keyed by the canonical sort key (type, argument key, argument key), which
-    # determines the relation, so sorting the keys orders the relations
-    # independently of the hash seed.
+    # Keyed by `relation_key`, which determines the relation, so sorting the
+    # keys orders the relations independently of the hash seed.
     relations: dict[tuple, Relation] = {}
     for rel in doc.relations:
-        k1 = arg_key[key_of[rel.arg1]]
-        k2 = arg_key[key_of[rel.arg2]]
-        if k1 == k2:
+        n1 = number[key_of[rel.arg1]]
+        n2 = number[key_of[rel.arg2]]
+        if n1 == n2:
             # Both arguments merged into one keyphrase; the relation degenerates.
             continue
-        if k2 < k1 and rel.rtype is RelationType.SYNONYM_OF:
-            k1, k2 = k2, k1
-        key = (rel.rtype._value_, k1, k2)
+        key = relation_key(rel.rtype, n1, n2)
         if key not in relations:
             # Share the keyphrases' id strings rather than format new ones.
-            a1, a2 = keyphrases[k1[2] - 1].id, keyphrases[k2[2] - 1].id
+            a1, a2 = keyphrases[key[1] - 1].id, keyphrases[key[2] - 1].id
             if (rel.arg1, rel.arg2) != (a1, a2):
                 rel = Relation(rel.rtype, a1, a2)
             relations[key] = rel
@@ -322,19 +317,44 @@ def canonical_form(doc: Document) -> Document:
     )
 
 
+def relation_key(rtype: RelationType, n1: int, n2: int) -> tuple[str, int, int]:
+    """The canonical sort key of a relation from keyphrase Tn1 to Tn2.
+
+    Canonical relations are ordered by (type, arg1, arg2), each argument
+    compared by its keyphrase's sort key.  Canonical numbers follow that
+    order, so the key holds the numbers: integers compare faster than spans.
+    Synonym-of is symmetric, so its lower number comes first.
+    """
+    if n2 < n1 and rtype is RelationType.SYNONYM_OF:
+        return (rtype._value_, n2, n1)
+    return (rtype._value_, n1, n2)
+
+
+def relations_from_keys(
+    keys: Iterable[tuple[str, int, int]], keyphrases: Sequence[Keyphrase]
+) -> tuple[Relation, ...]:
+    """The relations `relation_key` gave `keys`, in key order; argument n is
+    `keyphrases[n - 1]`, whose id string each relation shares."""
+    ids = [kp.id for kp in keyphrases]
+    return tuple([
+        Relation(_RELATION_BY_VALUE[value], ids[n1 - 1], ids[n2 - 1])
+        for value, n1, n2 in sorted(keys)
+    ])
+
+
 def is_canonical(doc: Document) -> bool:
     """Whether `doc` validates and is already in canonical form.
 
     Checks in one pass what `canonicalize_document` would establish: every
     span in bounds and equal to its text slice, keyphrases strictly
     increasing by (start, end, type) and numbered T1..Tn in that order, every
-    relation between two distinct existing keyphrases, each Synonym-of
-    ordered by argument key, and relations strictly increasing by the
-    canonical sort key (so none repeats).  Equivalent to
+    relation between two distinct existing keyphrases, each Synonym-of with
+    its lower-numbered argument first, and relations strictly increasing by
+    `relation_key` (so none repeats).  Equivalent to
     `validate_document(doc).ok and canonical_form(doc) == doc`.
     """
     n = len(doc.text)
-    arg_key: dict[str, tuple[int, int, int]] = {}
+    number: dict[str, int] = {}
     prev_kp: tuple | None = None
     for i, kp in enumerate(doc.keyphrases, 1):
         key = kp.sort_key()
@@ -345,13 +365,14 @@ def is_canonical(doc: Document) -> bool:
         if prev_kp is not None and key <= prev_kp:
             return False
         prev_kp = key
-        arg_key[kp.id] = (kp.start, kp.end, i)
+        number[kp.id] = i
     prev_rel: tuple | None = None
     for rel in doc.relations:
-        if rel.arg1 == rel.arg2 or rel.arg1 not in arg_key or rel.arg2 not in arg_key:
+        if rel.arg1 == rel.arg2 or rel.arg1 not in number or rel.arg2 not in number:
             return False
-        key = (rel.rtype._value_, arg_key[rel.arg1], arg_key[rel.arg2])
-        if rel.rtype is RelationType.SYNONYM_OF and key[2] < key[1]:
+        n1 = number[rel.arg1]
+        key = relation_key(rel.rtype, n1, number[rel.arg2])
+        if key[1] != n1:  # a Synonym-of with its arguments the wrong way round
             return False
         if prev_rel is not None and key <= prev_rel:
             return False
@@ -386,8 +407,7 @@ def make_document(
 ) -> Document:
     """Convenience constructor that derives surfaces from the text."""
     kps = tuple(
-        Keyphrase(start=s, end=e, ktype=t, id=kid, surface=text[s:e])
-        for kid, t, s, e in keyphrases
+        Keyphrase(kid, t, s, e, text[s:e]) for kid, t, s, e in keyphrases
     )
     rels = tuple(Relation(rt, a1, a2) for rt, a1, a2 in relations)
     return Document(doc_id, text, kps, rels)

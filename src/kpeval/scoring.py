@@ -84,20 +84,24 @@ class ScoreReport:
 
 
 def items(subtask: Subtask, doc: Document) -> set[tuple]:
-    """Project a document onto the comparable item set of one subtask."""
+    """Project a document onto the comparable item set of one subtask.
+
+    Types enter an item as their values: a string hashes in C, while an enum
+    member hashes through the Python-level `Enum.__hash__`.
+    """
     if subtask is Subtask.A:
         return {(kp.start, kp.end) for kp in doc.keyphrases}
     if subtask is Subtask.B:
-        return {(kp.start, kp.end, kp.ktype) for kp in doc.keyphrases}
+        return {(kp.start, kp.end, kp.ktype._value_) for kp in doc.keyphrases}
     by_id = doc.keyphrase_by_id()
     result = set()
     for rel in doc.relations:
         s1 = by_id[rel.arg1].span()
         s2 = by_id[rel.arg2].span()
         if rel.rtype is RelationType.SYNONYM_OF:
-            result.add((rel.rtype, frozenset((s1, s2))))
+            result.add((rel.rtype._value_, frozenset((s1, s2))))
         else:
-            result.add((rel.rtype, s1, s2))
+            result.add((rel.rtype._value_, s1, s2))
     return result
 
 

@@ -257,6 +257,26 @@ def test_convert_round_trip(corpus_dir, tmp_path, capsys):
     assert payload["overall"]["f1"] == 1.0
 
 
+def test_convert_to_ann_of_sentences_in_reverse_order_writes_the_same_ann(corpus_dir, tmp_path):
+    seq_dir, reversed_dir = tmp_path / "seq", tmp_path / "reversed"
+    assert run_cli(["convert", "--to", "seq", "--in", str(corpus_dir), "--out", str(seq_dir)]) == 0
+    reversed_dir.mkdir()
+    for path in seq_dir.iterdir():
+        content = path.read_text(encoding="utf-8")
+        if path.suffix == ".seq":
+            blocks = content.rstrip("\n").split("\n\n")
+            assert len(blocks) > 1
+            content = "\n\n".join(blocks[::-1]) + "\n"
+        (reversed_dir / path.name).write_text(content, encoding="utf-8")
+    outputs = []
+    for name in ("seq", "reversed"):
+        out = tmp_path / f"{name}-ann"
+        assert run_cli(["convert", "--to", "ann", "--in", str(tmp_path / name), "--out", str(out)]) == 0
+        outputs.append(_dir_bytes(out))
+    assert outputs[0] == outputs[1]
+    assert any(name.endswith(".ann") and data for name, data in outputs[0].items())
+
+
 def test_convert_to_ann_requires_seq_files(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()

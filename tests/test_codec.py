@@ -35,6 +35,7 @@ from kpeval.codec import (
     sequences_from_tsv,
     sequences_to_tsv,
 )
+from kpeval.model import TYPE_PRIORITY, canonical_form, is_canonical
 
 K = KeyphraseType
 R = RelationType
@@ -408,6 +409,172 @@ def test_encoded_sequences_do_not_share_a_relations_dict():
     assert len({id(seq.relations) for seq in sequences}) == len(sequences)
     sequences[0].relations[(0, 0)] = "S"
     assert all((0, 0) not in seq.relations for seq in sequences[1:])
+
+
+# --- decode against the construction it replaced --------------------------
+# Decode used to build its document with make_document and then put it in
+# canonical form.  It now builds the canonical document directly when the
+# spans come in text order, and the old construction defines its output.
+
+
+def _reference_majority_type(votes):
+    best, best_count = None, -1
+    for t in TYPE_PRIORITY:
+        if votes.count(t.letter) > best_count:
+            best, best_count = t, votes.count(t.letter)
+    return best
+
+
+def _reference_decode(sequences, text, doc_id, repairs=None):
+    def note(msg):
+        if repairs is not None:
+            repairs.append(msg)
+
+    keyphrases, relations = [], []
+    for s_idx, seq in enumerate(sequences):
+        tokens = seq.tokenization.tokens
+        runs, start_i, prev = [], None, "O"
+        for i, label in enumerate(seq.labels_a):
+            if label == "B" or (label == "I" and prev == "O"):
+                if label == "I":
+                    note(f"sentence {s_idx}: I after O at token {i} promoted to B")
+                if start_i is not None:
+                    runs.append((start_i, i))
+                start_i = i
+            elif label != "I":
+                if label != "O":
+                    note(f"sentence {s_idx}: unknown boundary label {label!r} read as O")
+                if start_i is not None:
+                    runs.append((start_i, i))
+                    start_i = None
+            prev = "O" if label not in ("B", "I") else "B"
+        if start_i is not None:
+            runs.append((start_i, len(seq.labels_a)))
+        head_to_id = {}
+        for first, last in runs:
+            votes = [seq.labels_b[i] for i in range(first, last) if seq.labels_b[i] != "O"]
+            if len(votes) < last - first:
+                note(f"sentence {s_idx}: span at token {first} has O type labels")
+            kp_id = f"T{len(keyphrases) + 1}"
+            head_to_id[first] = kp_id
+            keyphrases.append(
+                (kp_id, _reference_majority_type(votes), tokens[first].start, tokens[last - 1].end)
+            )
+        seen_syn = set()
+        for (i, j), value in sorted(seq.relations.items()):
+            if i == j or i not in head_to_id or j not in head_to_id:
+                note(f"sentence {s_idx}: cell ({i}, {j}) is not a valid head pair")
+            elif value == "H":
+                relations.append((R.HYPONYM_OF, head_to_id[i], head_to_id[j]))
+            elif value == "S":
+                if frozenset((i, j)) in seen_syn:
+                    continue
+                if seq.relations.get((j, i)) != "S":
+                    note(f"sentence {s_idx}: cell ({i}, {j}) S without mirror cell")
+                seen_syn.add(frozenset((i, j)))
+                relations.append((R.SYNONYM_OF, head_to_id[i], head_to_id[j]))
+            else:
+                note(f"sentence {s_idx}: cell ({i}, {j}) has unknown value {value!r}")
+    return canonicalize_document(make_document(doc_id, text, keyphrases, relations))
+
+
+@st.composite
+def _sequence_lists(draw):
+    """Sequences as a tagger or a .seq file may give them.
+
+    Each sequence holds the tokens of a whole sentence, a run of a sentence's
+    tokens (so two sequences may overlap), or tokens with arbitrary offsets,
+    which may lie outside the text, be empty or come in any order.  Sentences
+    come in any order and may repeat.  Labels include unknown ones, and cells
+    may be one-sided, off the heads, off the grid or of an unknown value.
+    """
+    text = " ".join(draw(st.lists(st.sampled_from(_PIECES), min_size=1, max_size=30)))
+    sentences = _reference_tokenize_document(text)
+    sequences = []
+    for _ in range(draw(st.integers(0, 4))):
+        if sentences and draw(st.integers(0, 7)):
+            tokens = draw(st.sampled_from(sentences)).tokens
+            if draw(st.booleans()):
+                first = draw(st.integers(0, len(tokens) - 1))
+                tokens = tokens[first : draw(st.integers(first + 1, len(tokens)))]
+        else:
+            offsets = st.integers(-2, len(text) + 2)
+            tokens = tuple(
+                Token(start, end, "x")
+                for start, end in draw(st.lists(st.tuples(offsets, offsets), min_size=1, max_size=5))
+            )
+        n = len(tokens)
+        labels_a = draw(st.lists(st.sampled_from("OBBIIX"), min_size=n, max_size=n))
+        labels_b = draw(st.lists(st.sampled_from("OMPTTQ"), min_size=n, max_size=n))
+        heads = [
+            i for i, a in enumerate(labels_a)
+            if a == "B" or (a == "I" and (i == 0 or labels_a[i - 1] not in "BI"))
+        ]
+        anywhere = st.tuples(st.integers(-1, n), st.integers(-1, n))
+        on_heads = st.tuples(st.sampled_from(heads), st.sampled_from(heads)) if heads else anywhere
+        cells = draw(st.dictionaries(anywhere, st.sampled_from("SHX"), max_size=3))
+        cells.update(draw(st.dictionaries(on_heads, st.sampled_from("SSHX"), max_size=10)))
+        for (i, j), value in list(cells.items()):
+            if value == "S" and draw(st.booleans()):
+                cells[(j, i)] = "S"
+        sequences.append(LabeledSequence(
+            SentenceTokenization(tokens[0].start, tokens[-1].end, tokens),
+            tuple(labels_a), tuple(labels_b), cells,
+        ))
+    return sequences, text
+
+
+def _decode_outcome(decode, sequences, text):
+    repairs = []
+    try:
+        result = decode(sequences, text, "d", repairs=repairs)
+    except ValueError as exc:
+        result = f"ValueError: {exc}"
+    return result, repairs
+
+
+@settings(max_examples=400, deadline=None)
+@given(_sequence_lists())
+def test_decode_equals_the_construction_it_replaced(case):
+    sequences, text = case
+    decoded = _decode_outcome(decode_document, sequences, text)
+    assert decoded == _decode_outcome(_reference_decode, sequences, text)
+    if not isinstance(decoded[0], str):
+        assert is_canonical(decoded[0])
+
+
+def _count_canonical_form_calls(monkeypatch):
+    calls = []
+
+    def counted(doc):
+        calls.append(doc.doc_id)
+        return canonical_form(doc)
+
+    monkeypatch.setattr("kpeval.codec.canonical_form", counted)
+    return calls
+
+
+@pytest.mark.parametrize("snap", [False, True])
+def test_decoding_what_encode_made_does_not_canonicalize_again(monkeypatch, snap):
+    rng = random.Random(5)
+    docs = [example_document(), _long_document(20)] + [
+        synth_document(rng, f"d{i}", n_sentences=4, n_mentions=8, n_relations=4) for i in range(20)
+    ]
+    calls = _count_canonical_form_calls(monkeypatch)
+    for doc in docs:
+        sequences, _ = encode_document(doc, snap)
+        decoded = decode_document(sequences, doc.text, doc.doc_id)
+        assert decoded == _reference_decode(sequences, doc.text, doc.doc_id)
+    assert calls == []
+
+
+def test_sentences_out_of_order_are_put_in_canonical_form(monkeypatch):
+    doc = example_document()
+    sequences, _ = encode_document(doc)
+    in_order = decode_document(sequences, doc.text, doc.doc_id)
+    calls = _count_canonical_form_calls(monkeypatch)
+    assert decode_document(sequences[::-1], doc.text, doc.doc_id) == in_order
+    assert calls == [doc.doc_id]
 
 
 # --- round trip ------------------------------------------------------------

@@ -1,3 +1,4 @@
+import enum
 import json
 import random
 
@@ -25,7 +26,7 @@ from kpeval import (
     micro_scores,
     score_scenario,
 )
-from kpeval.scoring import report_to_dict, report_to_json, report_to_text
+from kpeval.scoring import items, report_to_dict, report_to_json, report_to_text
 
 K = KeyphraseType
 R = RelationType
@@ -244,6 +245,25 @@ def test_s2_deviating_spans_are_flagged_but_scored():
     report = score_scenario(gold, pred, Scenario.S2)
     assert report.diagnostics and "d" in report.diagnostics[0]
     assert report.subtasks[Subtask.B].counts == MatchCounts(0, 1, 1)
+
+
+def test_items_hold_type_values_and_no_enum_member():
+    doc = example_document()
+    assert {kp.ktype for kp in doc.keyphrases} == set(K)
+    assert {rel.rtype for rel in doc.relations} == set(R)
+
+    def members(value):
+        if isinstance(value, enum.Enum):
+            return [value]
+        if isinstance(value, (tuple, frozenset)):
+            return [m for part in value for m in members(part)]
+        return []
+
+    for task in Subtask:
+        found = items(task, doc)
+        assert found and members(tuple(found)) == [], task
+    assert {item[2] for item in items(Subtask.B, doc)} == {t.value for t in K}
+    assert {item[0] for item in items(Subtask.C, doc)} == {t.value for t in R}
 
 
 # --- invariants ---------------------------------------------------------------
