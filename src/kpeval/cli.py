@@ -178,35 +178,26 @@ def cmd_score(args: argparse.Namespace) -> int:
     pred = _prepare_corpus(pred_raw, pred_report)
     scenario = scoring.Scenario(args.scenario)
 
-    doc_ids = gold.doc_ids()
     try:
         report = scoring.score_scenario(gold, pred, scenario, pool=args.pool)
     except ValueError as exc:
         return _usage_error(str(exc))
     for message in report.diagnostics:
         print(f"WARNING [GIVEN_DEVIATION] {message}", file=sys.stderr)
+    sections = [(None, report)]
     if args.by_genre:
         genres = _read_genre_map(args.by_genre)
-        sections = [(None, report)]
-        for genre in sorted(set(genres.get(d, "unmapped") for d in doc_ids)):
-            ids = [d for d in doc_ids if genres.get(d, "unmapped") == genre]
-            sub_gold = brat.Corpus({d: gold[d] for d in ids})
-            sub_pred = brat.Corpus({d: pred[d] for d in ids if d in pred})
-            sections.append(
-                (genre, scoring.score_scenario(sub_gold, sub_pred, scenario, pool=args.pool))
-            )
-        for genre, rep in sections:
-            if genre is not None:
-                print(f"--- genre: {genre} ---")
-            print(
-                scoring.report_to_json(rep) if args.json else scoring.report_to_text(rep),
-                end="",
-            )
-    else:
-        print(
-            scoring.report_to_json(report) if args.json else scoring.report_to_text(report),
-            end="",
-        )
+        groups: dict[str, dict] = {}
+        for doc_id, counts in report.per_doc.items():
+            groups.setdefault(genres.get(doc_id, "unmapped"), {})[doc_id] = counts
+        sections += [
+            (genre, scoring.summarize(scenario, groups[genre], args.pool))
+            for genre in sorted(groups)
+        ]
+    for genre, rep in sections:
+        if genre is not None:
+            print(f"--- genre: {genre} ---")
+        print(scoring.report_to_json(rep) if args.json else scoring.report_to_text(rep), end="")
     ok = gold_report.ok and pred_report.ok
     return 0 if ok else 1
 

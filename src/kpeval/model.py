@@ -194,7 +194,7 @@ def _walk(doc: Document) -> tuple[ValidationReport, Document, list[str]]:
             report.warn(
                 doc.doc_id,
                 DUPLICATE_SPAN,
-                f"{kp.id}: duplicates span ({kp.start}, {kp.end}, {kp.ktype.value})",
+                f"{kp.id}: duplicates span ({kp.start}, {kp.end}, {kp.ktype._value_})",
             )
         seen_spans.add(key)
 
@@ -203,7 +203,7 @@ def _walk(doc: Document) -> tuple[ValidationReport, Document, list[str]]:
         if rel.arg1 == rel.arg2:
             drop = "self-relation"
             report.error(
-                doc.doc_id, SELF_RELATION, f"{rel.rtype.value} relates {rel.arg1} to itself"
+                doc.doc_id, SELF_RELATION, f"{rel.rtype._value_} relates {rel.arg1} to itself"
             )
         else:
             drop = None if rel.arg1 in kept and rel.arg2 in kept else "dangling argument"
@@ -212,7 +212,7 @@ def _walk(doc: Document) -> tuple[ValidationReport, Document, list[str]]:
                 report.error(
                     doc.doc_id,
                     DANGLING_ARGUMENT,
-                    f"{rel.rtype.value}({rel.arg1}, {rel.arg2}): no keyphrase "
+                    f"{rel.rtype._value_}({rel.arg1}, {rel.arg2}): no keyphrase "
                     + ", ".join(dangling),
                 )
             else:
@@ -221,13 +221,13 @@ def _walk(doc: Document) -> tuple[ValidationReport, Document, list[str]]:
                     report.warn(
                         doc.doc_id,
                         CROSS_TYPE_RELATION,
-                        f"{rel.rtype.value}({rel.arg1}, {rel.arg2}) links "
-                        f"{k1.ktype.value} to {k2.ktype.value}",
+                        f"{rel.rtype._value_}({rel.arg1}, {rel.arg2}) links "
+                        f"{k1.ktype._value_} to {k2.ktype._value_}",
                     )
         if drop is None:
             relations.append(rel)
         else:
-            dropped.append(f"{rel.rtype.value}({rel.arg1}, {rel.arg2}): {drop}")
+            dropped.append(f"{rel.rtype._value_}({rel.arg1}, {rel.arg2}): {drop}")
     if dropped:
         doc = Document(doc.doc_id, doc.text, tuple(kept.values()), tuple(relations))
     return report, doc, dropped

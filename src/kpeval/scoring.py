@@ -67,6 +67,10 @@ class SubtaskScore(NamedTuple):
     f1: float
 
 
+# The counts of one document: subtasks A, B and C, in that order.
+DocCounts = tuple[MatchCounts, MatchCounts, MatchCounts]
+
+
 class ScoreReport:
     def __init__(
         self,
@@ -75,12 +79,14 @@ class ScoreReport:
         overall: SubtaskScore,
         pool: str = "bc",
         diagnostics: list[str] | None = None,
+        per_doc: dict[str, DocCounts] | None = None,
     ) -> None:
         self.scenario = scenario
         self.subtasks = subtasks
         self.overall = overall
         self.pool = pool
         self.diagnostics = [] if diagnostics is None else diagnostics
+        self.per_doc = {} if per_doc is None else per_doc
 
 
 def items(subtask: Subtask, doc: Document) -> set[tuple]:
@@ -135,50 +141,52 @@ def _score(counts: MatchCounts) -> SubtaskScore:
 def score_scenario(
     gold: Corpus, pred: Corpus, scenario: Scenario, pool: str = "bc"
 ) -> ScoreReport:
-    """Pool per-document match counts over the corpus and compute micro P/R/F1.
+    """Count each gold document's matches once, on all three subtasks, and summarize.
 
     Predictions must not name documents absent from gold; gold documents with
-    no prediction count as empty predictions.  In scenarios 2 and 3 the spans
-    (and, in 3, the types) are givens, so predictions deviating from them are
-    flagged as diagnostics but still scored exactly as submitted.
+    no prediction count as empty predictions.
     """
-    if pool not in ("bc", "abc"):
-        raise ValueError(f"unknown pooling {pool!r}")
     extra = set(pred.doc_ids()) - set(gold.doc_ids())
     if extra:
         raise ValueError(f"predictions for unknown documents: {sorted(extra)}")
-
-    per_subtask = {task: MatchCounts() for task in scenario.subtasks}
-    diagnostics: list[str] = []
+    per_doc: dict[str, DocCounts] = {}
     for doc_id in gold.doc_ids():
         gold_doc = gold[doc_id]
         pred_doc = pred[doc_id] if doc_id in pred else Document(doc_id, gold_doc.text)
-        for task in scenario.subtasks:
-            per_subtask[task] += count_matches(task, gold_doc, pred_doc)
-        if scenario is Scenario.S2 and items(Subtask.A, gold_doc) != items(
-            Subtask.A, pred_doc
-        ):
-            diagnostics.append(f"{doc_id}: predicted spans deviate from the given boundaries")
-        if scenario is Scenario.S3 and items(Subtask.B, gold_doc) != items(
-            Subtask.B, pred_doc
-        ):
-            diagnostics.append(f"{doc_id}: predicted typed spans deviate from the given ones")
+        per_doc[doc_id] = tuple(count_matches(task, gold_doc, pred_doc) for task in Subtask)
+    return summarize(scenario, per_doc, pool)
 
-    pooled_tasks = [
-        task
-        for task in scenario.subtasks
-        if pool == "abc" or task in (Subtask.B, Subtask.C)
-    ]
-    overall = MatchCounts()
-    for task in pooled_tasks:
-        overall += per_subtask[task]
-    return ScoreReport(
-        scenario=scenario,
-        subtasks={task: _score(counts) for task, counts in per_subtask.items()},
-        overall=_score(overall),
-        pool=pool,
-        diagnostics=diagnostics,
-    )
+
+_GIVEN = {  # the index in DocCounts of the items a scenario gives, and the warning
+    Scenario.S2: (0, "predicted spans deviate from the given boundaries"),
+    Scenario.S3: (1, "predicted typed spans deviate from the given ones"),
+}
+
+
+def summarize(
+    scenario: Scenario, per_doc: dict[str, DocCounts], pool: str = "bc"
+) -> ScoreReport:
+    """Micro P/R/F1 of the documents in `per_doc`, from the sum of their counts.
+
+    In scenarios 2 and 3 the spans (and, in 3, the types) are givens.  Items
+    are sets, so a prediction deviates from them exactly when its subtask A
+    (in 3, B) count has a false positive or negative.  Each such document is
+    flagged in `diagnostics`, in `per_doc` order, but scored as submitted.
+    """
+    if pool not in ("bc", "abc"):
+        raise ValueError(f"unknown pooling {pool!r}")
+    totals = [MatchCounts()] * 3
+    diagnostics: list[str] = []
+    given = _GIVEN.get(scenario)
+    for doc_id, counts in per_doc.items():
+        totals = [total + count for total, count in zip(totals, counts)]
+        if given is not None and (counts[given[0]].fp or counts[given[0]].fn):
+            diagnostics.append(f"{doc_id}: {given[1]}")
+    by_task = dict(zip(Subtask, totals))
+    subtasks = {task: _score(by_task[task]) for task in scenario.subtasks}
+    pooled = [by_task[t] for t in scenario.subtasks if pool == "abc" or t is not Subtask.A]
+    overall = _score(sum(pooled, MatchCounts()))
+    return ScoreReport(scenario, subtasks, overall, pool, diagnostics, per_doc)
 
 
 def report_to_dict(report: ScoreReport) -> dict:

@@ -13,20 +13,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import misalignment_corpus, synth_corpus, write_corpus_dir
+from conftest import misalignment_corpus, random_scored_pair, synth_corpus, write_corpus_dir
 from kpeval import (
     BaselineKind,
     Corpus,
     Scenario,
     canonicalize_document,
     load_corpus,
+    load_predictions,
     make_document,
     model,
     roundtrip_report,
+    save_corpus,
     score_scenario,
 )
 from kpeval.cli import build_parser, run_cli
-from kpeval.scoring import report_to_json
+from kpeval.scoring import report_to_json, report_to_text
 
 
 def _dir_bytes(path):
@@ -118,6 +120,62 @@ def test_score_by_genre(corpus_dir, tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "genre: cs" in out and "genre: physics" in out
+
+
+def _genre_sections_by_rescoring(gold, pred, scenario, pool, genres, as_json):
+    """Reference output of `score --by-genre`: each genre's sub-corpus scored anew."""
+    render = report_to_json if as_json else report_to_text
+    doc_ids = gold.doc_ids()
+    out = [render(score_scenario(gold, pred, scenario, pool=pool))]
+    for genre in sorted({genres.get(d, "unmapped") for d in doc_ids}):
+        ids = [d for d in doc_ids if genres.get(d, "unmapped") == genre]
+        sub_gold = Corpus({d: gold[d] for d in ids})
+        sub_pred = Corpus({d: pred[d] for d in ids if d in pred})
+        out.append(f"--- genre: {genre} ---\n")
+        out.append(render(score_scenario(sub_gold, sub_pred, scenario, pool=pool)))
+    return "".join(out)
+
+
+@pytest.fixture(scope="module")
+def genre_inputs(tmp_path_factory):
+    """Gold and predicted corpora, and a genre map with a blank genre and a gap.
+
+    The first document has no prediction file and the second is not in the
+    map; both, and the blank-genre documents, belong to "unmapped".
+    """
+    root = tmp_path_factory.mktemp("genres")
+    rng = random.Random(47)
+    pairs = [random_scored_pair(rng, f"doc{i:02}") for i in range(14)]
+    gold_dir = write_corpus_dir(Corpus({g.doc_id: g for g, _ in pairs}), root / "gold")
+    pred_dir = root / "pred"
+    pred_dir.mkdir()
+    save_corpus(Corpus({p.doc_id: p for _, p in pairs[1:]}), pred_dir, write_text=False)
+    names = ("physics", "cs", "", "bio")
+    mapped = [(g.doc_id, names[i % 4]) for i, (g, _) in enumerate(pairs) if i != 1]
+    mapfile = root / "genres.tsv"
+    mapfile.write_text("".join(f"{d}\t{genre}\n" for d, genre in mapped), encoding="utf-8")
+    genres = {d: genre or "unmapped" for d, genre in mapped}
+    return gold_dir, pred_dir, mapfile, genres
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("pool", ["bc", "abc"])
+@pytest.mark.parametrize("scenario", [1, 2, 3])
+def test_score_by_genre_equals_rescoring_each_genre(
+    genre_inputs, capsys, scenario, pool, as_json
+):
+    gold_dir, pred_dir, mapfile, genres = genre_inputs
+    argv = ["score", "--scenario", str(scenario), "--pool", pool, "--by-genre", str(mapfile),
+            "--gold", str(gold_dir), "--pred", str(pred_dir)]
+    assert run_cli(argv + (["--json"] if as_json else [])) == 0
+    out = capsys.readouterr().out
+    gold, _ = load_corpus(gold_dir)
+    pred, _ = load_predictions(pred_dir, gold)
+    assert not (pred_dir / "doc00.ann").exists() and "doc01" not in genres
+    assert out == _genre_sections_by_rescoring(
+        gold, pred, Scenario(scenario), pool, genres, as_json
+    )
+    assert "--- genre: unmapped ---" in out
 
 
 def test_baseline_random_is_byte_identical_across_runs_and_jobs(corpus_dir, tmp_path):

@@ -26,7 +26,7 @@ from kpeval import (
     micro_scores,
     score_scenario,
 )
-from kpeval.scoring import items, report_to_dict, report_to_json, report_to_text
+from kpeval.scoring import items, report_to_dict, report_to_json, report_to_text, summarize
 
 K = KeyphraseType
 R = RelationType
@@ -245,6 +245,85 @@ def test_s2_deviating_spans_are_flagged_but_scored():
     report = score_scenario(gold, pred, Scenario.S2)
     assert report.diagnostics and "d" in report.diagnostics[0]
     assert report.subtasks[Subtask.B].counts == MatchCounts(0, 1, 1)
+
+
+def test_s3_retyped_spans_are_flagged_but_scored():
+    text = "alpha beta gamma"
+    gold = Corpus({"d": canonicalize_document(
+        make_document("d", text, [("T1", K.TASK, 0, 5)]))})
+    pred = Corpus({"d": canonicalize_document(
+        make_document("d", text, [("T1", K.PROCESS, 0, 5)]))})
+    report = score_scenario(gold, pred, Scenario.S3)
+    assert report.diagnostics == ["d: predicted typed spans deviate from the given ones"]
+    assert report.subtasks[Subtask.C].counts == MatchCounts(0, 0, 0)
+    assert score_scenario(gold, pred, Scenario.S2).diagnostics == []
+
+
+def test_unknown_pooling_is_rejected():
+    corpus = synth_corpus(random.Random(2), 1)
+    with pytest.raises(ValueError, match="unknown pooling 'ab'"):
+        score_scenario(corpus, corpus, Scenario.S1, pool="ab")
+    with pytest.raises(ValueError, match="unknown pooling 'ab'"):
+        summarize(Scenario.S1, {}, pool="ab")
+
+
+def _scored_corpora(seed: int) -> tuple[Corpus, Corpus]:
+    """Gold and predicted corpora; the first gold document has no prediction."""
+    rng = random.Random(seed)
+    pairs = [random_scored_pair(rng, f"d{i}") for i in range(rng.randint(1, 6))]
+    return (
+        Corpus({gold.doc_id: gold for gold, _ in pairs}),
+        Corpus({pred.doc_id: pred for _, pred in pairs[1:]}),
+    )
+
+
+def _prediction(pred: Corpus, gold_doc: Document) -> Document:
+    doc_id = gold_doc.doc_id
+    return pred[doc_id] if doc_id in pred else Document(doc_id, gold_doc.text)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_given_deviations_are_the_item_sets_that_differ(seed):
+    gold, pred = _scored_corpora(seed)
+    for scenario, task, message in (
+        (Scenario.S2, Subtask.A, "predicted spans deviate from the given boundaries"),
+        (Scenario.S3, Subtask.B, "predicted typed spans deviate from the given ones"),
+    ):
+        expected = [
+            f"{doc.doc_id}: {message}"
+            for doc in gold
+            if items(task, doc) != items(task, _prediction(pred, doc))
+        ]
+        assert score_scenario(gold, pred, scenario).diagnostics == expected
+    assert score_scenario(gold, pred, Scenario.S1).diagnostics == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(list(Scenario)), st.sampled_from(["bc", "abc"]))
+def test_per_doc_counts_every_gold_document_and_sums_to_each_report(seed, scenario, pool):
+    gold, pred = _scored_corpora(seed)
+    report = score_scenario(gold, pred, scenario, pool=pool)
+    assert list(report.per_doc) == gold.doc_ids()
+    for doc in gold:
+        assert report.per_doc[doc.doc_id] == tuple(
+            count_matches(task, doc, _prediction(pred, doc)) for task in Subtask
+        )
+    for i, task in enumerate(Subtask):
+        total = sum((counts[i] for counts in report.per_doc.values()), MatchCounts())
+        if task in report.subtasks:
+            assert report.subtasks[task].counts == total
+    # Any subset of documents summarizes to the score of that sub-corpus.
+    subset = gold.doc_ids()[::2]
+    part = summarize(scenario, {d: report.per_doc[d] for d in subset}, pool)
+    alone = score_scenario(
+        Corpus({d: gold[d] for d in subset}),
+        Corpus({d: pred[d] for d in subset if d in pred}),
+        scenario,
+        pool=pool,
+    )
+    assert report_to_dict(part) == report_to_dict(alone)
+    assert part.diagnostics == alone.diagnostics
 
 
 def test_items_hold_type_values_and_no_enum_member():
