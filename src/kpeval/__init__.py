@@ -20,7 +20,6 @@ _EXPORTS = {
         "agreement_report",
         "cohen_kappa",
         "corpus_stats",
-        "fleiss_kappa",
     ),
     "baselines": (
         "BaselineKind",

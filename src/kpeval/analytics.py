@@ -6,7 +6,7 @@ annotation sets is measured with Cohen's kappa over per-token labels produced
 by the sequence codec, so both sides are compared on the same tokenization of
 the same text; documents where either side has no annotations at all are
 excluded (annotators who stopped annotating would otherwise deflate the
-score).  Fleiss' kappa generalizes to any number of raters.
+score).
 """
 
 from __future__ import annotations
@@ -103,35 +103,6 @@ def cohen_kappa(labels_x: Sequence, labels_y: Sequence) -> float:
     if p_e == 1.0:
         return 1.0
     return (p_o - p_e) / (1.0 - p_e)
-
-
-def fleiss_kappa(ratings: Sequence[Sequence[int]], n_raters: int) -> float:
-    """Fleiss' kappa from an item-by-category count matrix.
-
-    Every row must sum to `n_raters` (>= 2).  Per-item agreement is
-    P_i = (sum_j n_ij^2 - n) / (n (n - 1)); chance agreement is the sum of
-    squared overall category proportions.
-    """
-    if n_raters < 2:
-        raise ValueError("need at least 2 raters")
-    if len(ratings) < 2:
-        raise ValueError("need at least 2 items")
-    for i, row in enumerate(ratings):
-        if sum(row) != n_raters:
-            raise ValueError(
-                f"row {i} sums to {sum(row)}, expected n_raters = {n_raters}"
-            )
-    n_items = len(ratings)
-    p_bar = sum(
-        (sum(v * v for v in row) - n_raters) / (n_raters * (n_raters - 1))
-        for row in ratings
-    ) / n_items
-    total = n_items * n_raters
-    category_totals = [sum(col) for col in zip(*ratings)]
-    p_e = sum((t / total) ** 2 for t in category_totals)
-    if p_e == 1.0:
-        return 1.0
-    return (p_bar - p_e) / (1.0 - p_e)
 
 
 def agreement_report(

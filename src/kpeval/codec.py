@@ -49,7 +49,7 @@ from .model import (
     KeyphraseType,
     Relation,
     RelationType,
-    canonical_form,
+    canonicalize_document,
     relation_key,
     relations_from_keys,
 )
@@ -62,8 +62,8 @@ CROSS_SENTENCE_RELATION = "CROSS_SENTENCE_RELATION"
 ARGUMENT_DROPPED = "ARGUMENT_DROPPED"
 CELL_CONFLICT = "CELL_CONFLICT"
 
-# The type label of each keyphrase type, keyed by the type's value: reading
-# `KeyphraseType.letter` runs the enum's Python-level `value` descriptor.
+# The type label of each keyphrase type, keyed by the type's value, which
+# `_value_` reads without the enum's Python-level `value` descriptor.
 _LETTER = {t._value_: t._value_[0] for t in KeyphraseType}
 
 _SENTENCE_BREAK = re.compile(
@@ -328,14 +328,14 @@ def decode_document(
     are ignored, type ties break by the fixed Material > Process > Task
     priority, and relation cells that do not sit on a valid head pair are
     discarded.  Each repair appends a message to `repairs` when given.
-    Raises ValueError, as `canonicalize_document` does, for a span that is
-    empty or outside `text`: tokens out of order or past the text make one.
 
     Spans are numbered T1..Tn in the order they are found.  When each span
-    starts at or after the previous one ends, as in every sequence list that
-    `encode_document` or `tokenize_document` makes, that order is canonical
-    and the document is built canonical.  Otherwise (sentences out of text
-    order or overlapping) it is put in canonical form afterwards.
+    lies inside `text` and starts at or after the previous one ends, as in
+    every sequence list that `encode_document` or `tokenize_document` makes,
+    that order is canonical and the document is returned as built.
+    Otherwise it is returned through `canonicalize_document`, which sorts
+    sentences out of text order and raises ValueError for a span that is
+    empty or outside `text` (tokens out of order or past the text).
     """
 
     def note(msg: str) -> None:
@@ -344,10 +344,9 @@ def decode_document(
 
     keyphrases: list[Keyphrase] = []
     relation_keys: list[tuple[str, int, int]] = []
-    bad: list[Keyphrase] = []  # spans that break the bounds invariant
     n = len(text)
     prev_end = 0
-    in_order = True  # every span starts at or after the previous one ends
+    in_order = True  # every span lies in the text after the previous one
     for s_idx, seq in enumerate(sequences):
         tokens = seq.tokenization.tokens
         runs: list[tuple[int, int]] = []
@@ -382,9 +381,7 @@ def decode_document(
             start, end = tokens[first].start, tokens[last - 1].end
             kp = Keyphrase(f"T{number}", _majority_type(votes), start, end, text[start:end])
             keyphrases.append(kp)
-            if not 0 <= start < end <= n:
-                bad.append(kp)
-            if start < prev_end:
+            if not prev_end <= start < end <= n:
                 in_order = False
             prev_end = end
 
@@ -408,23 +405,14 @@ def decode_document(
                 )
             else:
                 note(f"sentence {s_idx}: cell ({i}, {j}) has unknown value {value!r}")
-    # Ids are T1..Tn, surfaces are text slices and each relation joins two
-    # distinct heads of one sentence, so only a span can break an invariant:
-    # tokens out of order or outside the text.  Fail as canonicalize_document
-    # would, without validating the rest.
-    if bad:
-        first_bad = bad[0]
-        raise ValueError(
-            f"cannot canonicalize {doc_id}: {len(bad)} validation error(s), first: "
-            f"[{OFFSET_OUT_OF_BOUNDS}] {first_bad.id}: span ({first_bad.start}, "
-            f"{first_bad.end}) outside text of length {n}"
-        )
     doc = Document(
         doc_id, text, tuple(keyphrases), relations_from_keys(relation_keys, keyphrases)
     )
-    # In order, the spans are disjoint and increasing, so their numbers are
-    # their canonical ones and no two merge.
-    return doc if in_order else canonical_form(doc)
+    # Ids are T1..Tn, surfaces are text slices and each relation joins two
+    # distinct heads of one sentence.  In order, the spans are also in bounds,
+    # disjoint and increasing, so their numbers are their canonical ones and
+    # no two merge.
+    return doc if in_order else canonicalize_document(doc)
 
 
 def _majority_type(votes: list[str]) -> KeyphraseType:

@@ -30,11 +30,6 @@ class KeyphraseType(enum.Enum):
         except KeyError:
             raise ValueError(f"unknown keyphrase type: {s!r}") from None
 
-    @property
-    def letter(self) -> str:
-        """Single-letter sequence label: M, P or T."""
-        return self.value[0]
-
 
 _KEYPHRASE_BY_NAME = {t.value.casefold(): t for t in KeyphraseType}
 
@@ -75,7 +70,7 @@ class Keyphrase(NamedTuple):
     def sort_key(self) -> tuple:
         # `_value_` is the member's plain attribute.  `value` runs the enum's
         # Python-level descriptor, a cost on every key of every sort; the
-        # per-item loops of `canonical_form`, `is_canonical` and
+        # per-item loops of `_walk`, `canonical_form` and
         # `brat.serialize_annotations` read `_value_` for the same reason.
         return (self.start, self.end, self.ktype._value_)
 
@@ -268,37 +263,41 @@ def canonicalize_document(doc: Document) -> Document:
 def canonical_form(doc: Document) -> Document:
     """`canonicalize_document` for a document known to validate, unchecked.
 
-    For callers that hold what a loader (`brat.load_corpus`,
-    `brat.load_predictions`) or `drop_invalid` returned, which is valid by
-    construction.  An invalid document gives undefined results.  Nothing
-    already canonical is rebuilt: a keyphrase whose id is already its
-    canonical id, and a relation whose arguments are, come back as the same
-    objects, so a canonical document costs one pass and no copies.
+    For callers that hold a document already checked: what a loader
+    (`brat.load_corpus`, `brat.load_predictions`) returned, or one that
+    `validate_document` passed.  An invalid document gives undefined
+    results.  Nothing already canonical is rebuilt: a keyphrase whose id is
+    already its canonical id, and a relation whose arguments are, come back
+    as the same objects, so a canonical document costs one pass and no
+    copies.
     """
     # Merge duplicate spans, keeping one representative per sort key.
     merged: dict[tuple, Keyphrase] = {}
-    key_of: dict[str, tuple] = {}  # keyphrase id -> its sort key
     for kp in doc.keyphrases:
-        key = kp.sort_key()
-        merged.setdefault(key, kp)
-        key_of[kp.id] = key
+        merged.setdefault(kp.sort_key(), kp)
 
+    keys = sorted(merged)
     keyphrases: list[Keyphrase] = []
-    number: dict[tuple, int] = {}  # sort key -> i of the canonical keyphrase Ti
-    for i, key in enumerate(sorted(merged), 1):
+    for i, key in enumerate(keys, 1):
         kp = merged[key]
         kid = f"T{i}"
         if kp.id != kid:
             kp = Keyphrase(kid, kp.ktype, kp.start, kp.end, kp.surface)
         keyphrases.append(kp)
-        number[key] = i
+
+    # Only relations need the number of each id, so a document without any
+    # (every gazetteer prediction) builds no map of its ids.
+    number: dict[str, int] = {}  # keyphrase id -> i of the canonical Ti
+    if doc.relations:
+        number_of_key = {key: i for i, key in enumerate(keys, 1)}
+        number = {kp.id: number_of_key[kp.sort_key()] for kp in doc.keyphrases}
 
     # Keyed by `relation_key`, which determines the relation, so sorting the
     # keys orders the relations independently of the hash seed.
     relations: dict[tuple, Relation] = {}
     for rel in doc.relations:
-        n1 = number[key_of[rel.arg1]]
-        n2 = number[key_of[rel.arg2]]
+        n1 = number[rel.arg1]
+        n2 = number[rel.arg2]
         if n1 == n2:
             # Both arguments merged into one keyphrase; the relation degenerates.
             continue
@@ -343,41 +342,9 @@ def relations_from_keys(
 
 
 def is_canonical(doc: Document) -> bool:
-    """Whether `doc` validates and is already in canonical form.
-
-    Checks in one pass what `canonicalize_document` would establish: every
-    span in bounds and equal to its text slice, keyphrases strictly
-    increasing by (start, end, type) and numbered T1..Tn in that order, every
-    relation between two distinct existing keyphrases, each Synonym-of with
-    its lower-numbered argument first, and relations strictly increasing by
-    `relation_key` (so none repeats).  Equivalent to
-    `validate_document(doc).ok and canonical_form(doc) == doc`.
-    """
-    n = len(doc.text)
-    number: dict[str, int] = {}
-    prev_kp: tuple | None = None
-    for i, kp in enumerate(doc.keyphrases, 1):
-        key = kp.sort_key()
-        if kp.id != f"T{i}" or not (0 <= kp.start < kp.end <= n):
-            return False
-        if kp.surface != doc.text[kp.start : kp.end]:
-            return False
-        if prev_kp is not None and key <= prev_kp:
-            return False
-        prev_kp = key
-        number[kp.id] = i
-    prev_rel: tuple | None = None
-    for rel in doc.relations:
-        if rel.arg1 == rel.arg2 or rel.arg1 not in number or rel.arg2 not in number:
-            return False
-        n1 = number[rel.arg1]
-        key = relation_key(rel.rtype, n1, number[rel.arg2])
-        if key[1] != n1:  # a Synonym-of with its arguments the wrong way round
-            return False
-        if prev_rel is not None and key <= prev_rel:
-            return False
-        prev_rel = key
-    return True
+    """Whether `doc` validates and is already in canonical form, as
+    `serialize_annotations` requires."""
+    return validate_document(doc).ok and canonical_form(doc) == doc
 
 
 def drop_invalid(doc: Document) -> tuple[Document, list[str]]:

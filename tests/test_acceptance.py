@@ -31,7 +31,6 @@ from kpeval import (
     count_matches,
     decode_document,
     encode_document,
-    fleiss_kappa,
     load_corpus,
     make_document,
     micro_scores,
@@ -177,13 +176,12 @@ def test_random_baseline_determinism_and_weakness(tmp_path):
 
 
 def test_kappa_correctness():
-    """Hand values exact; unanimous Fleiss = 1; chance-level kappa tiny."""
+    """Hand values exact; chance-level kappa tiny."""
     assert cohen_kappa(list("ABAB"), list("ABAB")) == 1.0
     x = ["A"] * 7 + ["B"] * 7 + ["A"] * 3 + ["B"] * 3
     y = ["A"] * 7 + ["B"] * 7 + ["B"] * 3 + ["A"] * 3
     assert abs(cohen_kappa(x, y) - 0.4) < 1e-12
     assert abs(cohen_kappa(["A", "B"] * 8, ["B", "A"] * 8) + 1.0) < 1e-12
-    assert fleiss_kappa([[3, 0], [0, 3], [3, 0]], 3) == 1.0
 
     passes = 0
     for seed in range(100):

@@ -13,7 +13,6 @@ from kpeval import (
     canonicalize_document,
     cohen_kappa,
     corpus_stats,
-    fleiss_kappa,
     make_document,
 )
 
@@ -139,41 +138,6 @@ def test_cohen_chance_level_is_near_zero():
     x = [rng.choice("OBI") for _ in range(100_000)]
     y = [rng.choice("OBI") for _ in range(100_000)]
     assert abs(cohen_kappa(x, y)) < 0.05
-
-
-# --- Fleiss' kappa ---------------------------------------------------------------
-
-
-def test_fleiss_unanimous_is_one():
-    ratings = [[3, 0], [0, 3], [3, 0], [3, 0]]
-    assert fleiss_kappa(ratings, 3) == 1.0
-
-
-def test_fleiss_hand_computed_value():
-    # 2 items, 2 raters: one unanimous, one split over two categories.
-    # P_1 = 1, P_2 = 0, P-bar = 1/2; proportions (3/4, 1/4) give
-    # P_e = 9/16 + 1/16 = 5/8; kappa = (1/2 - 5/8) / (3/8) = -1/3.
-    ratings = [[2, 0], [1, 1]]
-    assert fleiss_kappa(ratings, 2) == pytest.approx(-1 / 3, abs=1e-15)
-
-
-def test_fleiss_zero_when_observed_equals_chance():
-    # P-bar = 0.5 and category proportions (0.5, 0.5) -> P_e = 0.5.
-    ratings = [[2, 0], [0, 2], [1, 1], [1, 1]]
-    assert fleiss_kappa(ratings, 2) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_fleiss_row_sum_violation():
-    with pytest.raises(ValueError, match="row 1"):
-        fleiss_kappa([[2, 0], [2, 1]], 2)
-
-
-def test_fleiss_invariant_under_category_permutation():
-    ratings = [[2, 1, 0], [1, 1, 1], [0, 0, 3], [1, 2, 0]]
-    permuted = [[row[2], row[0], row[1]] for row in ratings]
-    assert fleiss_kappa(ratings, 3) == pytest.approx(
-        fleiss_kappa(permuted, 3), abs=1e-15
-    )
 
 
 # --- agreement report -------------------------------------------------------------

@@ -35,7 +35,7 @@ from kpeval.codec import (
     sequences_from_tsv,
     sequences_to_tsv,
 )
-from kpeval.model import TYPE_PRIORITY, canonical_form, is_canonical
+from kpeval.model import TYPE_PRIORITY, is_canonical
 
 K = KeyphraseType
 R = RelationType
@@ -403,6 +403,20 @@ def test_decode_rejects_spans_that_tokens_out_of_place_make():
     assert str(decoded.value) == str(expected.value)
 
 
+def test_decode_rejects_a_span_past_the_text_that_comes_in_order():
+    text = "Graphene."
+    tokens = (Token(0, 8, "Graphene"), Token(8, 9, "."), Token(10, 18, "conducts"))
+    seq = LabeledSequence(
+        SentenceTokenization(0, 9, tokens), ("B", "O", "B"), ("M", "O", "P"), {}
+    )
+    with pytest.raises(ValueError) as decoded:
+        decode_document([seq], text, "d")
+    assert str(decoded.value) == (
+        "cannot canonicalize d: 1 validation error(s), first: "
+        "[OFFSET_OUT_OF_BOUNDS] T2: span (10, 18) outside text of length 9"
+    )
+
+
 def test_encoded_sequences_do_not_share_a_relations_dict():
     sequences, _ = encode_document(example_document())
     assert len(sequences) == 3
@@ -420,8 +434,8 @@ def test_encoded_sequences_do_not_share_a_relations_dict():
 def _reference_majority_type(votes):
     best, best_count = None, -1
     for t in TYPE_PRIORITY:
-        if votes.count(t.letter) > best_count:
-            best, best_count = t, votes.count(t.letter)
+        if votes.count(t.value[0]) > best_count:
+            best, best_count = t, votes.count(t.value[0])
     return best
 
 
@@ -543,14 +557,14 @@ def test_decode_equals_the_construction_it_replaced(case):
         assert is_canonical(decoded[0])
 
 
-def _count_canonical_form_calls(monkeypatch):
+def _count_canonicalize_calls(monkeypatch):
     calls = []
 
     def counted(doc):
         calls.append(doc.doc_id)
-        return canonical_form(doc)
+        return canonicalize_document(doc)
 
-    monkeypatch.setattr("kpeval.codec.canonical_form", counted)
+    monkeypatch.setattr("kpeval.codec.canonicalize_document", counted)
     return calls
 
 
@@ -560,7 +574,7 @@ def test_decoding_what_encode_made_does_not_canonicalize_again(monkeypatch, snap
     docs = [example_document(), _long_document(20)] + [
         synth_document(rng, f"d{i}", n_sentences=4, n_mentions=8, n_relations=4) for i in range(20)
     ]
-    calls = _count_canonical_form_calls(monkeypatch)
+    calls = _count_canonicalize_calls(monkeypatch)
     for doc in docs:
         sequences, _ = encode_document(doc, snap)
         decoded = decode_document(sequences, doc.text, doc.doc_id)
@@ -572,7 +586,7 @@ def test_sentences_out_of_order_are_put_in_canonical_form(monkeypatch):
     doc = example_document()
     sequences, _ = encode_document(doc)
     in_order = decode_document(sequences, doc.text, doc.doc_id)
-    calls = _count_canonical_form_calls(monkeypatch)
+    calls = _count_canonicalize_calls(monkeypatch)
     assert decode_document(sequences[::-1], doc.text, doc.doc_id) == in_order
     assert calls == [doc.doc_id]
 
@@ -781,7 +795,7 @@ def _reference_encode(doc, snap):
         for i in range(first + 1, last):
             a[i] = "I"
         for i in range(first, last):
-            b[i] = by_id[kp_id].ktype.letter
+            b[i] = by_id[kp_id].ktype.value[0]
         sequences[s_idx] = LabeledSequence(seq.tokenization, tuple(a), tuple(b), seq.relations)
     dropped = {rel for rel, _ in outcome.dropped_relations}
     for rel in doc.relations:

@@ -17,10 +17,11 @@ from kpeval import (
     RelationType,
     canonicalize_document,
     make_document,
+    parse_document_pair,
     serialize_annotations,
     validate_document,
 )
-from kpeval.model import canonical_form, drop_invalid, is_canonical
+from kpeval.model import canonical_form, drop_invalid, is_canonical, relation_key
 
 K = KeyphraseType
 R = RelationType
@@ -388,8 +389,38 @@ def test_canonical_form_ignores_relation_order_under_span_ties(relations):
     assert got == want
 
 
-def _reference_is_canonical(doc):
-    return validate_document(doc).ok and canonical_form(doc) == doc
+def _one_pass_is_canonical(doc):
+    """The canonical conditions checked in one pass, as an oracle: every span
+    in bounds and equal to its text slice, keyphrases strictly increasing by
+    (start, end, type) and numbered T1..Tn in that order, every relation
+    between two distinct existing keyphrases, each Synonym-of with its
+    lower-numbered argument first, and relations strictly increasing by
+    `relation_key` (so none repeats)."""
+    n = len(doc.text)
+    number = {}
+    prev_kp = None
+    for i, kp in enumerate(doc.keyphrases, 1):
+        key = kp.sort_key()
+        if kp.id != f"T{i}" or not (0 <= kp.start < kp.end <= n):
+            return False
+        if kp.surface != doc.text[kp.start : kp.end]:
+            return False
+        if prev_kp is not None and key <= prev_kp:
+            return False
+        prev_kp = key
+        number[kp.id] = i
+    prev_rel = None
+    for rel in doc.relations:
+        if rel.arg1 == rel.arg2 or rel.arg1 not in number or rel.arg2 not in number:
+            return False
+        n1 = number[rel.arg1]
+        key = relation_key(rel.rtype, n1, number[rel.arg2])
+        if key[1] != n1:  # a Synonym-of with its arguments the wrong way round
+            return False
+        if prev_rel is not None and key <= prev_rel:
+            return False
+        prev_rel = key
+    return True
 
 
 @st.composite
@@ -457,13 +488,30 @@ def _near_canonical_document(draw):
 @settings(max_examples=200)
 @given(st.one_of(_ANY_DOCUMENT, _canonical_document()))
 def test_is_canonical_agrees_with_validate_and_canonical_form(doc):
-    assert is_canonical(doc) == _reference_is_canonical(doc)
+    assert is_canonical(doc) == _one_pass_is_canonical(doc)
 
 
 @settings(max_examples=200)
 @given(_near_canonical_document())
 def test_is_canonical_rejects_what_canonical_form_would_change(doc):
-    assert is_canonical(doc) == _reference_is_canonical(doc)
+    assert is_canonical(doc) == _one_pass_is_canonical(doc)
+
+
+@settings(max_examples=200)
+@given(_near_canonical_document())
+def test_serialize_rejects_what_the_one_pass_check_rejects(doc):
+    if _one_pass_is_canonical(doc):
+        serialize_annotations(doc)
+    else:
+        with pytest.raises(ValueError, match="is not canonical"):
+            serialize_annotations(doc)
+
+
+@settings(max_examples=200)
+@given(_canonical_document())
+def test_serialize_writes_every_canonical_document(doc):
+    parsed, report = parse_document_pair(doc.doc_id, doc.text, serialize_annotations(doc))
+    assert report.errors == [] and canonical_form(parsed) == doc
 
 
 def test_is_canonical_on_the_tied_document():

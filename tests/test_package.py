@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -45,6 +46,20 @@ def test_names_and_submodules_load_on_first_use():
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         kpeval.no_such_name
+
+
+def test_every_traced_benchmark_layer_exists():
+    # The traced benchmark round looks each layer up by name, so a deleted
+    # function makes it raise AttributeError.
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.LAYER_NAMES
+    for name in tracing.LAYER_NAMES:
+        module, function = name.split(".")
+        home = importlib.import_module(f"kpeval.{module}")
+        assert callable(getattr(home, function, None)), name
 
 
 _SENTENCE = SentenceTokenization(0, 4, (Token(0, 4, "Iron"),))
