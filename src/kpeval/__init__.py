@@ -31,8 +31,6 @@ _EXPORTS = {
         "roundtrip_report",
     ),
     "brat": (
-        "AnnKind",
-        "AnnLine",
         "Corpus",
         "MalformedLine",
         "load_corpus",

@@ -10,6 +10,8 @@ File conventions (one document = `<stem>.txt` + `<stem>.ann`, both UTF-8):
       - entities:     ``T<k>\\t<Type> <start> <end>\\t<surface>``
       - hyponymy:     ``R<k>\\tHyponym-of Arg1:T<i> Arg2:T<j>``
       - synonymy:     ``*\\tSynonym-of T<i> T<j> [T<l> ...]``
+    Lines end at "\\n", "\\r\\n" or "\\r" only, so a surface column holds
+    any other character (a form feed, "\\u2028") just as the text does.
     Type strings are matched case-insensitively.  ``R`` lines with type
     Synonym-of are tolerated (some prediction files emit them) and normalized
     to canonical pairs.  The surface column is only validated against the
@@ -22,10 +24,9 @@ Parsing of distinct documents is pure and may run concurrently.
 
 from __future__ import annotations
 
-import enum
 import itertools
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .model import (
     Document,
@@ -62,25 +63,6 @@ class MalformedLine(ValueError):
         super().__init__(f"{where}{reason}: {line!r}")
 
 
-class AnnKind(enum.Enum):
-    ENTITY = "entity"
-    RELATION = "relation"
-    EQUIVALENCE = "equivalence"
-
-
-class AnnLine(NamedTuple):
-    """One parsed .ann line, before document assembly."""
-
-    kind: AnnKind
-    id: str | None = None
-    ktype: KeyphraseType | None = None
-    rtype: RelationType | None = None
-    start: int = -1
-    end: int = -1
-    surface: str = ""
-    args: tuple[str, ...] = ()
-
-
 class Corpus:
     """Documents keyed and iterated by doc_id, in doc_id order."""
 
@@ -103,8 +85,11 @@ class Corpus:
         return list(self.documents)
 
 
-def parse_ann_line(line: str) -> AnnLine:
-    """Parse one non-empty .ann line into its structured form.
+def parse_ann_line(line: str) -> Keyphrase | tuple[Relation, ...]:
+    """Parse one non-empty .ann line into the records it annotates: for a
+    ``T`` line its Keyphrase, with the surface column as `surface`; for an
+    ``R`` line a tuple of its one Relation; for a ``*`` line with k ids a
+    tuple of all k*(k-1)/2 synonym pairs, in `itertools.combinations` order.
 
     Raises MalformedLine for a wrong field count, non-integer offsets, an
     unknown leading sigil, or an unknown type string.
@@ -129,8 +114,7 @@ def parse_ann_line(line: str) -> AnnLine:
             raise MalformedLine("offsets must be integers", line) from None
         if start < 0 or end < 0:
             raise MalformedLine("offsets must be non-negative", line)
-        return AnnLine(AnnKind.ENTITY, id=fields[0], ktype=ktype,
-                       start=start, end=end, surface=fields[2])
+        return Keyphrase(fields[0], ktype, start, end, fields[2])
     if sigil == "R":
         if len(fields) < 2:
             raise MalformedLine("relation line needs 2 tab-separated fields", line)
@@ -149,8 +133,7 @@ def parse_ann_line(line: str) -> AnnLine:
             args[label.casefold()] = ref
         if set(args) != {"arg1", "arg2"}:
             raise MalformedLine("relation needs exactly Arg1 and Arg2", line)
-        return AnnLine(AnnKind.RELATION, id=fields[0], rtype=rtype,
-                       args=(args["arg1"], args["arg2"]))
+        return (Relation(rtype, args["arg1"], args["arg2"]),)
     if sigil == "*":
         if len(fields) < 2:
             raise MalformedLine("equivalence line needs 2 tab-separated fields", line)
@@ -163,8 +146,16 @@ def parse_ann_line(line: str) -> AnnLine:
             raise MalformedLine(f"unknown relation type {parts[0]!r}", line) from None
         if rtype is not RelationType.SYNONYM_OF:
             raise MalformedLine("equivalence lines must be Synonym-of", line)
-        return AnnLine(AnnKind.EQUIVALENCE, rtype=rtype, args=tuple(parts[1:]))
+        return tuple(Relation(rtype, a1, a2)
+                     for a1, a2 in itertools.combinations(parts[1:], 2))
     raise MalformedLine(f"unknown leading sigil {fields[0]!r}", line)
+
+
+def split_lines(content: str) -> list[str]:
+    """`content` split at "\\n", "\\r\\n" and "\\r" only, as universal newlines
+    reads it; `str.splitlines` also splits at "\\f", "\\x85", "\\u2028" and
+    other characters that a surface column or a token may hold."""
+    return content.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 # Characters that would break the one-line .ann layout if written verbatim in
@@ -178,8 +169,9 @@ def parse_document_pair(
     """Assemble a valid Document from raw .txt content and .ann content.
 
     Malformed lines are recorded as MALFORMED_LINE errors with their line
-    number and skipped; no line is ever dropped silently.  Equivalence lines
-    with k ids expand to all k*(k-1)/2 synonym pairs.  The document is walked
+    number and skipped; no line is ever dropped silently.  A keyphrase keeps
+    the text slice at its offsets; a surface column equal to neither the slice
+    nor its flattened form is a SURFACE_MISMATCH error.  The document is walked
     once: the report carries the validate_document output, and the document
     comes back stripped as by drop_invalid, each removal in `report.dropped`.
     """
@@ -189,7 +181,7 @@ def parse_document_pair(
     keyphrases: list[Keyphrase] = []
     relations: list[Relation] = []
     n = len(text)
-    for lineno, raw in enumerate(ann.splitlines(), 1):
+    for lineno, raw in enumerate(split_lines(ann), 1):
         if not raw.strip():
             continue
         try:
@@ -198,26 +190,20 @@ def parse_document_pair(
             report.error(doc_id, MALFORMED_LINE,
                          f"{doc_id}.ann line {lineno}: {exc.reason}")
             continue
-        if parsed.kind is AnnKind.ENTITY:
+        if isinstance(parsed, Keyphrase):
             surface = text[parsed.start : parsed.end] if parsed.end <= n else ""
-            keyphrases.append(
-                Keyphrase(parsed.id, parsed.ktype, parsed.start, parsed.end, surface)
-            )
-            # The column holds no line break or tab, so a slice equal to it
-            # needs no flattening.
-            if (surface and surface != parsed.surface
-                    and surface.translate(_FLATTEN) != parsed.surface):
-                report.error(
-                    doc_id,
-                    "SURFACE_MISMATCH",
-                    f"{doc_id}.ann line {lineno}: {parsed.id} column "
-                    f"{parsed.surface!r} != text slice {surface!r}",
-                )
-        elif parsed.kind is AnnKind.RELATION:
-            relations.append(Relation(parsed.rtype, parsed.args[0], parsed.args[1]))
+            if surface != parsed.surface:
+                if surface and surface.translate(_FLATTEN) != parsed.surface:
+                    report.error(
+                        doc_id,
+                        "SURFACE_MISMATCH",
+                        f"{doc_id}.ann line {lineno}: {parsed.id} column "
+                        f"{parsed.surface!r} != text slice {surface!r}",
+                    )
+                parsed = parsed._replace(surface=surface)
+            keyphrases.append(parsed)
         else:
-            for a1, a2 in itertools.combinations(parsed.args, 2):
-                relations.append(Relation(RelationType.SYNONYM_OF, a1, a2))
+            relations.extend(parsed)
     doc = Document(doc_id, text, tuple(keyphrases), tuple(relations))
     doc_report, doc, dropped = _walk(doc)
     report.extend(doc_report)

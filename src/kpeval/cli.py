@@ -206,7 +206,7 @@ def _read_genre_map(path: Path) -> dict[str, str]:
     from . import brat
 
     genres = {}
-    for line in brat.read_utf8(path).splitlines():
+    for line in brat.split_lines(brat.read_utf8(path)):
         if line.strip():
             doc_id, _, genre = line.partition("\t")
             genres[doc_id.strip()] = genre.strip() or "unmapped"

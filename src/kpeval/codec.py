@@ -39,7 +39,7 @@ import operator
 import re
 from typing import NamedTuple
 
-from .brat import MalformedLine
+from .brat import MalformedLine, split_lines
 from .model import (
     OFFSET_OUT_OF_BOUNDS,
     SURFACE_MISMATCH,
@@ -461,53 +461,48 @@ def sequences_from_tsv(
     therefore always decode.
     """
     sequences = []
-    block_line = 1
-    for block in content.split("\n\n"):
-        first_line, block_line = block_line, block_line + block.count("\n") + 2
-        if not block.strip():
+    tokens: list[Token] = []
+    labels_a: list[str] = []
+    labels_b: list[str] = []
+    cells: dict[tuple[int, int], str] = {}
+    for lineno, raw in enumerate(split_lines(content) + [""], 1):
+        if not raw:  # an empty line, or the end of `content`, ends a sentence
+            if tokens:
+                sent = SentenceTokenization(tokens[0].start, tokens[-1].end, tuple(tokens))
+                sequences.append(LabeledSequence(sent, tuple(labels_a), tuple(labels_b), cells))
+            tokens, labels_a, labels_b, cells = [], [], [], {}
             continue
-        tokens: list[Token] = []
-        labels_a: list[str] = []
-        labels_b: list[str] = []
-        cells: dict[tuple[int, int], str] = {}
-        for lineno, raw in enumerate(block.splitlines(), first_line):
-            if not raw.strip():
+        if not raw.strip():
+            continue
+        fields = raw.split("\t")
+        try:
+            if fields[0] == "#REL":
+                _, i, j, value = fields
+                cells[(int(i), int(j))] = value
                 continue
-            fields = raw.split("\t")
-            try:
-                if fields[0] == "#REL":
-                    _, i, j, value = fields
-                    cells[(int(i), int(j))] = value
-                    continue
-                word, start, end, a, b = fields
-                token = Token(int(start), int(end), word)
-            except ValueError as exc:  # a wrong field count or a non-integer
-                kind = "#REL" if fields[0] == "#REL" else "token"
-                raise MalformedLine(f"bad {kind} line ({exc})", raw, lineno, filename) from None
-            if not 0 <= token.start < token.end <= len(text):
-                raise MalformedLine(
-                    f"token span ({token.start}, {token.end}) outside text "
-                    f"of length {len(text)}",
-                    raw, lineno, filename, OFFSET_OUT_OF_BOUNDS,
-                )
-            if text[token.start : token.end] != word:
-                raise MalformedLine(
-                    f"token {word!r} != text slice {text[token.start:token.end]!r}",
-                    raw, lineno, filename, SURFACE_MISMATCH,
-                )
-            if tokens and token.start < tokens[-1].end:
-                raise MalformedLine(
-                    f"token out of order: starts at {token.start}, before the "
-                    f"previous token ends at {tokens[-1].end}",
-                    raw, lineno, filename,
-                )
-            tokens.append(token)
-            labels_a.append(a)
-            labels_b.append(b)
-        if not tokens:
-            continue
-        sent = SentenceTokenization(tokens[0].start, tokens[-1].end, tuple(tokens))
-        sequences.append(
-            LabeledSequence(sent, tuple(labels_a), tuple(labels_b), cells)
-        )
+            word, start, end, a, b = fields
+            token = Token(int(start), int(end), word)
+        except ValueError as exc:  # a wrong field count or a non-integer
+            kind = "#REL" if fields[0] == "#REL" else "token"
+            raise MalformedLine(f"bad {kind} line ({exc})", raw, lineno, filename) from None
+        if not 0 <= token.start < token.end <= len(text):
+            raise MalformedLine(
+                f"token span ({token.start}, {token.end}) outside text "
+                f"of length {len(text)}",
+                raw, lineno, filename, OFFSET_OUT_OF_BOUNDS,
+            )
+        if text[token.start : token.end] != word:
+            raise MalformedLine(
+                f"token {word!r} != text slice {text[token.start:token.end]!r}",
+                raw, lineno, filename, SURFACE_MISMATCH,
+            )
+        if tokens and token.start < tokens[-1].end:
+            raise MalformedLine(
+                f"token out of order: starts at {token.start}, before the "
+                f"previous token ends at {tokens[-1].end}",
+                raw, lineno, filename,
+            )
+        tokens.append(token)
+        labels_a.append(a)
+        labels_b.append(b)
     return sequences

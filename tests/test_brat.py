@@ -1,6 +1,11 @@
+import enum
+import itertools
 import random
+from typing import NamedTuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     EXAMPLE_TEXT,
@@ -10,68 +15,75 @@ from conftest import (
     write_corpus_dir,
 )
 from kpeval import (
-    AnnKind,
+    Corpus,
+    Document,
+    Keyphrase,
     KeyphraseType,
     MalformedLine,
+    Relation,
     RelationType,
+    ValidationReport,
     canonicalize_document,
     load_corpus,
     load_predictions,
     parse_ann_line,
     parse_document_pair,
+    save_corpus,
     serialize_annotations,
 )
+from kpeval.model import _walk
 
 K = KeyphraseType
 R = RelationType
 
 
 def test_parse_entity_line():
-    line = parse_ann_line("T3\tTask 230 233\tNER")
-    assert line.kind is AnnKind.ENTITY
-    assert (line.id, line.ktype, line.start, line.end, line.surface) == (
-        "T3", K.TASK, 230, 233, "NER",
-    )
+    kp = parse_ann_line("T3\tTask 230 233\tNER")
+    assert type(kp) is Keyphrase
+    assert kp == Keyphrase("T3", K.TASK, 230, 233, "NER")
 
 
 def test_parse_equivalence_line():
-    line = parse_ann_line("*\tSynonym-of T5 T6")
-    assert line.kind is AnnKind.EQUIVALENCE
-    assert line.rtype is R.SYNONYM_OF
-    assert set(line.args) == {"T5", "T6"}
+    assert parse_ann_line("*\tSynonym-of T5 T6") == (Relation(R.SYNONYM_OF, "T5", "T6"),)
+    assert parse_ann_line("*\tSynonym-of T1 T2 T3") == (
+        Relation(R.SYNONYM_OF, "T1", "T2"),
+        Relation(R.SYNONYM_OF, "T1", "T3"),
+        Relation(R.SYNONYM_OF, "T2", "T3"),
+    )
 
 
 def test_parse_relation_line():
-    line = parse_ann_line("R1\tHyponym-of Arg1:T2 Arg2:T0")
-    assert line.kind is AnnKind.RELATION
-    assert line.rtype is R.HYPONYM_OF
-    assert line.args == ("T2", "T0")
+    (rel,) = parse_ann_line("R1\tHyponym-of Arg1:T2 Arg2:T0")
+    assert type(rel) is Relation
+    assert rel == Relation(R.HYPONYM_OF, "T2", "T0")
 
 
 def test_parse_relation_line_accepts_swapped_arg_order():
-    line = parse_ann_line("R1\tHyponym-of Arg2:T0 Arg1:T2")
-    assert line.args == ("T2", "T0")
+    assert parse_ann_line("R1\tHyponym-of Arg2:T0 Arg1:T2") == (
+        Relation(R.HYPONYM_OF, "T2", "T0"),
+    )
 
 
 def test_parse_is_case_insensitive_on_types():
     assert parse_ann_line("T1\tmaterial 0 5\tx").ktype is K.MATERIAL
-    assert parse_ann_line("R1\tSYNONYM-OF Arg1:T1 Arg2:T2").rtype is R.SYNONYM_OF
+    (rel,) = parse_ann_line("R1\tSYNONYM-OF Arg1:T1 Arg2:T2")
+    assert rel.rtype is R.SYNONYM_OF
 
 
-@pytest.mark.parametrize(
-    "line",
-    [
-        "T1\tTask 0\tx",                      # wrong field count in the middle
-        "T1\tTask zero five\tx",              # non-integer offsets
-        "T1\tTask 0 5",                       # missing surface column
-        "X1\tTask 0 5\tx",                    # unknown sigil
-        "T1\tEntity 0 5\tx",                  # unknown type string
-        "R1\tHyponym-of Arg1:T1",             # one argument only
-        "R1\tPart-of Arg1:T1 Arg2:T2",        # unknown relation type
-        "*\tSynonym-of T1",                   # equivalence with one id
-        "#1\tAnnotatorNotes T1\tcomment",     # unsupported annotation kind
-    ],
-)
+_MALFORMED_LINES = [
+    "T1\tTask 0\tx",                      # wrong field count in the middle
+    "T1\tTask zero five\tx",              # non-integer offsets
+    "T1\tTask 0 5",                       # missing surface column
+    "X1\tTask 0 5\tx",                    # unknown sigil
+    "T1\tEntity 0 5\tx",                  # unknown type string
+    "R1\tHyponym-of Arg1:T1",             # one argument only
+    "R1\tPart-of Arg1:T1 Arg2:T2",        # unknown relation type
+    "*\tSynonym-of T1",                   # equivalence with one id
+    "#1\tAnnotatorNotes T1\tcomment",     # unsupported annotation kind
+]
+
+
+@pytest.mark.parametrize("line", _MALFORMED_LINES)
 def test_malformed_lines_raise(line):
     with pytest.raises(MalformedLine):
         parse_ann_line(line)
@@ -168,16 +180,23 @@ def test_serialize_rejects_non_canonical():
         serialize_annotations(doc)
 
 
-def test_newlines_in_surface_survive_round_trip():
+@pytest.mark.parametrize(
+    "brk",
+    ["\n", "\r\n", "\r", "\t", "\v", "\f", "\x1c", "\x85", "\u2028"],
+    ids=["LF", "CRLF", "CR", "TAB", "VT", "FF", "FS", "NEL", "LS"],
+)
+def test_newlines_in_surface_survive_round_trip(brk, tmp_path):
     from kpeval import make_document
 
-    text = "alpha beta\ngamma delta"
-    doc = canonicalize_document(make_document("d", text, [("T1", K.TASK, 6, 16)]))
+    text = f"alpha beta{brk}gamma delta"
+    span = ("T1", K.TASK, 6, 15 + len(brk))  # "beta<brk>gamma"
+    doc = canonicalize_document(make_document("d", text, [span]))
     ann = serialize_annotations(doc)
-    assert "\nbeta" not in ann.split("\t")[-1]  # column stays one line
-    doc2, report = parse_document_pair("d", text, ann)
+    assert ann.count("\n") == 1 and "\r" not in ann  # column stays one line
+    save_corpus(Corpus({"d": doc}), tmp_path, write_text=True)
+    loaded, report = load_corpus(tmp_path)
     assert report.errors == []
-    assert canonicalize_document(doc2) == doc
+    assert canonicalize_document(loaded["d"]) == doc
 
 
 def test_round_trip_identity_and_fixed_point(tmp_path):
@@ -256,3 +275,183 @@ def test_load_predictions_flags_unknown_stems(tmp_path):
     (pred_dir / "nosuch.ann").write_text("", encoding="utf-8")
     _, report = load_predictions(pred_dir, corpus)
     assert [e[1] for e in report.errors] == ["MISSING_TXT"]
+
+
+# --- parse_document_pair against the reader it replaced ---------------------
+# The reader below parsed each line into a tagged intermediate record and then
+# branched on the tag to build the document.  It defines the expected
+# document and report on content that holds no line break other than "\n",
+# "\r\n" and "\r", where its `str.splitlines` agrees with `split_lines`.
+
+
+class _AnnKind(enum.Enum):
+    ENTITY = "entity"
+    RELATION = "relation"
+    EQUIVALENCE = "equivalence"
+
+
+class _AnnLine(NamedTuple):
+    kind: _AnnKind
+    id: str | None = None
+    ktype: KeyphraseType | None = None
+    rtype: RelationType | None = None
+    start: int = -1
+    end: int = -1
+    surface: str = ""
+    args: tuple = ()
+
+
+def _reference_parse_ann_line(line):
+    line = line.rstrip("\r\n")
+    fields = line.split("\t")
+    sigil = fields[0][:1]
+    if sigil == "T":
+        if len(fields) < 3:
+            raise MalformedLine("entity line needs 3 tab-separated fields", line)
+        middle = fields[1].split()
+        if len(middle) != 3:
+            raise MalformedLine("entity line needs '<Type> <start> <end>'", line)
+        type_str, start_str, end_str = middle
+        try:
+            ktype = KeyphraseType.parse(type_str)
+        except ValueError:
+            raise MalformedLine(f"unknown keyphrase type {type_str!r}", line) from None
+        try:
+            start, end = int(start_str), int(end_str)
+        except ValueError:
+            raise MalformedLine("offsets must be integers", line) from None
+        if start < 0 or end < 0:
+            raise MalformedLine("offsets must be non-negative", line)
+        return _AnnLine(_AnnKind.ENTITY, id=fields[0], ktype=ktype,
+                        start=start, end=end, surface=fields[2])
+    if sigil == "R":
+        if len(fields) < 2:
+            raise MalformedLine("relation line needs 2 tab-separated fields", line)
+        parts = fields[1].split()
+        if len(parts) != 3:
+            raise MalformedLine("relation line needs '<Type> Arg1:<id> Arg2:<id>'", line)
+        try:
+            rtype = RelationType.parse(parts[0])
+        except ValueError:
+            raise MalformedLine(f"unknown relation type {parts[0]!r}", line) from None
+        args = {}
+        for part in parts[1:]:
+            label, sep, ref = part.partition(":")
+            if not sep or label.casefold() not in ("arg1", "arg2"):
+                raise MalformedLine(f"bad relation argument {part!r}", line)
+            args[label.casefold()] = ref
+        if set(args) != {"arg1", "arg2"}:
+            raise MalformedLine("relation needs exactly Arg1 and Arg2", line)
+        return _AnnLine(_AnnKind.RELATION, id=fields[0], rtype=rtype,
+                        args=(args["arg1"], args["arg2"]))
+    if sigil == "*":
+        if len(fields) < 2:
+            raise MalformedLine("equivalence line needs 2 tab-separated fields", line)
+        parts = fields[1].split()
+        if len(parts) < 3:
+            raise MalformedLine("equivalence line needs a type and >= 2 ids", line)
+        try:
+            rtype = RelationType.parse(parts[0])
+        except ValueError:
+            raise MalformedLine(f"unknown relation type {parts[0]!r}", line) from None
+        if rtype is not RelationType.SYNONYM_OF:
+            raise MalformedLine("equivalence lines must be Synonym-of", line)
+        return _AnnLine(_AnnKind.EQUIVALENCE, rtype=rtype, args=tuple(parts[1:]))
+    raise MalformedLine(f"unknown leading sigil {fields[0]!r}", line)
+
+
+_FLATTEN = str.maketrans({"\n": " ", "\r": " ", "\t": " "})
+
+
+def _reference_parse_document_pair(doc_id, text, ann):
+    report = ValidationReport()
+    text = text.removeprefix("\ufeff")
+    ann = ann.removeprefix("\ufeff")
+    keyphrases = []
+    relations = []
+    n = len(text)
+    for lineno, raw in enumerate(ann.splitlines(), 1):
+        if not raw.strip():
+            continue
+        try:
+            parsed = _reference_parse_ann_line(raw)
+        except MalformedLine as exc:
+            report.error(doc_id, "MALFORMED_LINE",
+                         f"{doc_id}.ann line {lineno}: {exc.reason}")
+            continue
+        if parsed.kind is _AnnKind.ENTITY:
+            surface = text[parsed.start : parsed.end] if parsed.end <= n else ""
+            keyphrases.append(
+                Keyphrase(parsed.id, parsed.ktype, parsed.start, parsed.end, surface)
+            )
+            if (surface and surface != parsed.surface
+                    and surface.translate(_FLATTEN) != parsed.surface):
+                report.error(
+                    doc_id,
+                    "SURFACE_MISMATCH",
+                    f"{doc_id}.ann line {lineno}: {parsed.id} column "
+                    f"{parsed.surface!r} != text slice {surface!r}",
+                )
+        elif parsed.kind is _AnnKind.RELATION:
+            relations.append(Relation(parsed.rtype, parsed.args[0], parsed.args[1]))
+        else:
+            for a1, a2 in itertools.combinations(parsed.args, 2):
+                relations.append(Relation(RelationType.SYNONYM_OF, a1, a2))
+    doc = Document(doc_id, text, tuple(keyphrases), tuple(relations))
+    doc_report, doc, dropped = _walk(doc)
+    report.extend(doc_report)
+    report.dropped.extend((doc_id, message) for message in dropped)
+    return doc, report
+
+
+_IDS = st.sampled_from(["T1", "T2", "T3", "T4", "T9"])
+
+
+@st.composite
+def _ann_content(draw):
+    """A short text and .ann content for it: entity lines whose column is the
+    slice, the flattened slice or another word, `R` and `*` lines over a few
+    ids, malformed and blank lines, in types of any case, with "\n" or
+    "\r\n" breaks."""
+    text = draw(st.text(alphabet="ab .\n\r\t", max_size=16))
+    offset = st.integers(-1, len(text))
+    ktype = st.sampled_from(["Material", "material", "PROCESS", "Task", "tAsK"])
+    rtype = st.sampled_from(["Hyponym-of", "hyponym-OF", "Synonym-of", "SYNONYM-OF"])
+    lines = []
+    for kind in draw(st.lists(st.sampled_from("TR*xb"), max_size=10)):
+        if kind == "T":
+            start = draw(offset)
+            end = start + draw(st.integers(-1, 6))
+            piece = text[max(start, 0) : max(end, 0)]
+            column = draw(st.sampled_from([piece, piece.translate(_FLATTEN), "ab"]))
+            tab = draw(st.sampled_from(["", "\t"]))
+            lines.append(f"{draw(_IDS)}\t{draw(ktype)} {start} {end}\t{column}{tab}")
+        elif kind == "R":
+            args = [f"Arg1:{draw(_IDS)}", f"Arg2:{draw(_IDS)}"]
+            if draw(st.booleans()):
+                args.reverse()
+            lines.append(f"R{draw(st.integers(1, 3))}\t{draw(rtype)} {' '.join(args)}")
+        elif kind == "*":
+            ids = draw(st.lists(_IDS, min_size=2, max_size=4))
+            synonym = draw(st.sampled_from(["Synonym-of", "synonym-OF"]))
+            lines.append(f"*\t{synonym} {' '.join(ids)}")
+        elif kind == "x":
+            lines.append(draw(st.sampled_from(_MALFORMED_LINES)))
+        else:
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+    brk = draw(st.sampled_from(["\n", "\r\n"]))
+    ann = brk.join(lines) + draw(st.sampled_from(["", brk]))
+    return text, draw(st.sampled_from(["", "\ufeff"])) + ann
+
+
+@settings(max_examples=300)
+@given(_ann_content())
+def test_parse_document_pair_agrees_with_the_reference_reader(content):
+    text, ann = content
+    doc, report = parse_document_pair("d", text, ann)
+    want_doc, want = _reference_parse_document_pair("d", text, ann)
+    assert doc == want_doc
+    assert [type(kp) for kp in doc.keyphrases] == [Keyphrase] * len(doc.keyphrases)
+    assert (report.errors, report.warnings, report.dropped) == (
+        want.errors, want.warnings, want.dropped,
+    )

@@ -122,6 +122,14 @@ def test_score_by_genre(corpus_dir, tmp_path, capsys):
     assert "genre: cs" in out and "genre: physics" in out
 
 
+def test_genre_map_lines_end_only_at_line_breaks(tmp_path):
+    from kpeval.cli import _read_genre_map
+
+    mapfile = tmp_path / "genres.tsv"
+    mapfile.write_bytes("a\tbio\fchem\r\nb\tcs\u2028ai\rc\tphysics\n".encode())
+    assert _read_genre_map(mapfile) == {"a": "bio\fchem", "b": "cs\u2028ai", "c": "physics"}
+
+
 def _genre_sections_by_rescoring(gold, pred, scenario, pool, genres, as_json):
     """Reference output of `score --by-genre`: each genre's sub-corpus scored anew."""
     render = report_to_json if as_json else report_to_text

@@ -689,6 +689,22 @@ def test_tsv_malformed_line_names_file_and_line():
     assert str(info.value).startswith("doc.seq line 4: bad #REL line")
 
 
+def test_tsv_line_numbers_count_only_line_breaks():
+    # A form feed at the end of line 1 does not start a line of its own.
+    content = "a\t0\t1\tB\tM\f\nb\t2\t3\tO\tO\nc\t4\t9\tO\tO\n"
+    with pytest.raises(MalformedLine) as info:
+        sequences_from_tsv(content, "d.seq", "a b c")
+    assert (info.value.lineno, info.value.code) == (3, "OFFSET_OUT_OF_BOUNDS")
+
+
+@pytest.mark.parametrize("brk", ["\r\n", "\r"], ids=["CRLF", "CR"])
+def test_tsv_reads_every_universal_line_break(brk):
+    tsv = sequences_to_tsv(encode_document(example_document())[0])
+    assert sequences_from_tsv(tsv.replace("\n", brk), None, EXAMPLE_TEXT) == (
+        sequences_from_tsv(tsv, None, EXAMPLE_TEXT)
+    )
+
+
 def test_tsv_rejects_a_token_that_starts_before_the_previous_one_ends():
     content = "Graphene\t0\t8\tB\tM\nheat\t18\t22\tB\tM\nconducts\t9\t17\tO\tO\n"
     with pytest.raises(MalformedLine) as info:

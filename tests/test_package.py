@@ -8,7 +8,6 @@ import pytest
 
 import kpeval
 from kpeval.analytics import AgreementReport, CorpusStats
-from kpeval.brat import AnnKind, AnnLine
 from kpeval.codec import LabeledSequence, SentenceTokenization, Token
 from kpeval.model import Document, Keyphrase, KeyphraseType, Relation, RelationType
 from kpeval.scoring import MatchCounts, SubtaskScore
@@ -67,7 +66,6 @@ RECORDS = [
     Keyphrase("T1", KeyphraseType.MATERIAL, 0, 4, "Iron"),
     Relation(RelationType.HYPONYM_OF, "T1", "T2"),
     Document("d", "Iron"),
-    AnnLine(AnnKind.ENTITY),
     Token(0, 4, "Iron"),
     _SENTENCE,
     LabeledSequence(_SENTENCE, ("B",), ("M",), {}),
