@@ -14,11 +14,13 @@ document processing order.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import random
 
 from .brat import Corpus
 from .codec import (
+    _TOKEN,
     LabeledSequence,
     decode_document,
     encode_document,
@@ -27,8 +29,8 @@ from .codec import (
 from .model import (
     TYPE_PRIORITY,
     Document,
+    Keyphrase,
     KeyphraseType,
-    make_document,
     normalize_surface,
 )
 from .scoring import Scenario, ScoreReport, score_scenario
@@ -181,45 +183,51 @@ def gazetteer_build(train: Corpus) -> Gazetteer:
 def gazetteer_predict(gaz: Gazetteer, texts: Corpus) -> Corpus:
     """Longest-match, left-to-right, non-overlapping lookup at token boundaries.
 
-    One forward pass: from each start token a single candidate grows a token
-    at a time, casefolded tokens joined by " " across a gap and by "" where
-    they touch.  Tokens cover every non-whitespace character, so the
-    candidate equals `normalize_surface` of the text it spans.  Each token
-    adds at least one character, so growth stops once the candidate is longer
-    than `max_chars`, and the last hit is the longest match.  Matches become
-    keyphrases of the stored type, numbered in text order; they never
-    overlap, so the output is canonical by construction.  No relations are
-    predicted, and a surface absent from the training set can never be
-    produced.
+    One forward pass over the tokens of the whole text, which are the tokens
+    of its sentences in order, since no token holds whitespace and sentences
+    break only before whitespace.  From each start token a single candidate
+    grows a token at a time, casefolded tokens joined by " " across a gap and
+    by "" where they touch.  Tokens cover every non-whitespace character, so
+    the candidate equals `normalize_surface` of the text it spans.  Growth
+    stops as soon as no entry starts with the candidate, found by one
+    bisection of the sorted entries, and the last hit is the longest match.
+    Matches become keyphrases of the stored type, numbered in text order;
+    they never overlap, so the output is canonical by construction.  No
+    relations are predicted, and a surface absent from the training set can
+    never be produced.
     """
+    keys = sorted(gaz.entries)
     documents = {}
     for doc in texts:
-        tokens = [t for sent in tokenize_document(doc.text) for t in sent.tokens]
-        folded = [t.text.casefold() for t in tokens]
-        # Token j as it extends a candidate: after one space where whitespace
-        # separates it from token j - 1.
-        extend = [
-            " " + f if j and tokens[j].start > tokens[j - 1].end else f
-            for j, f in enumerate(folded)
-        ]
-        spans: list[tuple[str, KeyphraseType, int, int]] = []
+        text = doc.text
+        starts: list[int] = []
+        ends: list[int] = []
+        folded: list[str] = []
+        for m in _TOKEN.finditer(text):
+            starts.append(m.start())
+            ends.append(m.end())
+            folded.append(m.group().casefold())
+        keyphrases: list[Keyphrase] = []
         i = 0
-        while i < len(tokens):
+        while i < len(folded):
             hit = None
             candidate = folded[i]
-            for j in range(i, len(tokens)):
+            for j in range(i, len(folded)):
                 if j > i:
-                    candidate += extend[j]
-                if len(candidate) > gaz.max_chars:
+                    candidate += (" " if starts[j] > ends[j - 1] else "") + folded[j]
+                k = bisect.bisect_left(keys, candidate)
+                if k == len(keys) or not keys[k].startswith(candidate):
                     break
-                entry = gaz.entries.get(candidate)
-                if entry is not None:
-                    hit = (j, entry[0])
+                if keys[k] == candidate:
+                    hit = (j, gaz.entries[candidate][0])
             if hit is None:
                 i += 1
             else:
                 j, ktype = hit
-                spans.append((f"T{len(spans) + 1}", ktype, tokens[i].start, tokens[j].end))
+                start, end = starts[i], ends[j]
+                keyphrases.append(
+                    Keyphrase(f"T{len(keyphrases) + 1}", ktype, start, end, text[start:end])
+                )
                 i = j + 1
-        documents[doc.doc_id] = make_document(doc.doc_id, doc.text, spans)
+        documents[doc.doc_id] = Document(doc.doc_id, text, tuple(keyphrases))
     return Corpus(documents)

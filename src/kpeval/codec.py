@@ -22,12 +22,12 @@ Sentence and token rules are deliberately simple and fully deterministic:
     '-', '_', '.', apostrophe or '+' flanked by alphanumerics on both sides;
     any other non-space character is a one-character token.
 
-Encoding is linear in document length up to logarithmic factors.  Tokens
-are indexed by start and end offset once per document; each keyphrase is
-then placed with one bisection over the sentence starts (and, when
-snapping, two over the tokens of its sentence).  A document of T tokens, K
-keyphrases and R relations costs O(T + K log K + R), plus one step per token
-of each placed span.  Sentence splitting is linear in the text.
+Encoding is linear in document length up to logarithmic factors.  Each
+keyphrase is placed with one bisection over the sentence starts and two over
+the tokens of its sentence; no per-token index is built.  A document of T
+tokens, K keyphrases and R relations costs O(T + K log T + K log K + R), plus
+one step per token of each placed span.  Sentence splitting is linear in the
+text.
 
 All functions are pure.
 """
@@ -175,52 +175,33 @@ _token_start = operator.attrgetter("start")
 _token_end = operator.attrgetter("end")
 
 
-class _TokenIndex:
-    """Where each token starts and ends, indexed once per document."""
-
-    def __init__(self, tokenizations: list[SentenceTokenization]):
-        self.tokenizations = tokenizations
-        self.sentence_starts = [sent.sentence_start for sent in tokenizations]
-        # Tokens never overlap, so no two share a start or an end offset.
-        self.by_start: dict[int, tuple[int, int]] = {}
-        self.by_end: dict[int, tuple[int, int]] = {}
-        for s_idx, sent in enumerate(tokenizations):
-            for i, tok in enumerate(sent.tokens):
-                self.by_start[tok.start] = self.by_end[tok.end] = (s_idx, i)
-
-
 def _place_span(
-    start: int, end: int, index: _TokenIndex, snap: bool
+    start: int,
+    end: int,
+    tokenizations: list[SentenceTokenization],
+    sentence_starts: list[int],
+    snap: bool,
 ) -> tuple[int, tuple[int, int]] | str:
-    """Return (sentence index, token range) or a drop reason."""
+    """Return (sentence index, token range) or a drop reason.
+
+    The range holds every token that the span touches.  Tokens lie inside
+    their sentence's span, so a span inside one sentence touches no token of
+    another.  Without `snap` the range must also start and end exactly where
+    the span does.
+    """
     # Sentences are disjoint, so only the last one starting at or before
     # `start` can hold the span.
-    s_idx = bisect.bisect_right(index.sentence_starts, start) - 1
-    if s_idx < 0 or end > index.tokenizations[s_idx].sentence_end:
+    s_idx = bisect.bisect_right(sentence_starts, start) - 1
+    if s_idx < 0 or end > tokenizations[s_idx].sentence_end:
         return CROSSES_SENTENCE
-    first = index.by_start.get(start)
-    last = index.by_end.get(end)
-    if first and last and first[0] == last[0] == s_idx and first[1] <= last[1]:
-        return (s_idx, (first[1], last[1] + 1))
-    if snap:
-        return _snap_span(start, end, s_idx, index)
-    return BOUNDARY_MISMATCH
-
-
-def _snap_span(
-    start: int, end: int, s_idx: int, index: _TokenIndex
-) -> tuple[int, tuple[int, int]] | str:
-    """Expand a span inside sentence `s_idx` to every token it touches.
-
-    Tokens lie inside their sentence's span, so a span inside one sentence
-    touches no token of another.
-    """
-    tokens = index.tokenizations[s_idx].tokens
+    tokens = tokenizations[s_idx].tokens
     first = bisect.bisect_right(tokens, start, key=_token_end)
     last = bisect.bisect_left(tokens, end, key=_token_start)
-    if first >= last:
-        return BOUNDARY_MISMATCH
-    return (s_idx, (first, last))
+    if first < last and (
+        snap or (tokens[first].start == start and tokens[last - 1].end == end)
+    ):
+        return (s_idx, (first, last))
+    return BOUNDARY_MISMATCH
 
 
 def encode_document(
@@ -243,11 +224,11 @@ def encode_document(
     drops the later relation with reason CELL_CONFLICT.
     """
     tokenizations = tokenize_document(doc.text)
-    index = _TokenIndex(tokenizations)
+    sentence_starts = [sent.sentence_start for sent in tokenizations]
     outcome = AlignmentOutcome()
     by_id = doc.keyphrase_by_id()
     for kp in doc.keyphrases:
-        placed = _place_span(kp.start, kp.end, index, snap)
+        placed = _place_span(kp.start, kp.end, tokenizations, sentence_starts, snap)
         if isinstance(placed, str):
             outcome.dropped_spans.append((kp.id, placed))
         else:

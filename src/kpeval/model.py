@@ -155,7 +155,9 @@ def _walk(doc: Document) -> tuple[ValidationReport, Document, list[str]]:
     dropped: list[str] = []
     n = len(doc.text)
     seen_ids: dict[str, Keyphrase] = {}  # first definition of each id
-    kept: dict[str, Keyphrase] = {}  # first valid keyphrase of each id
+    # The first valid keyphrase of each id: the same dict as `seen_ids` until
+    # an invalid keyphrase defines a new id, and a copy from then on.
+    kept = seen_ids
     seen_spans: set[tuple[int, int, str]] = set()  # sort keys, which hash no enum
     for kp in doc.keyphrases:
         drop = None  # why drop_invalid strips this keyphrase, if it does
@@ -174,12 +176,14 @@ def _walk(doc: Document) -> tuple[ValidationReport, Document, list[str]]:
                 f"{kp.id}: surface {kp.surface!r} != text slice "
                 f"{doc.text[kp.start:kp.end]!r}",
             )
-        if kp.id in seen_ids:
+        if kp.id in seen_ids:  # every id in `kept` is in `seen_ids` too
             report.error(doc.doc_id, DUPLICATE_ID, f"id {kp.id} defined twice")
+            if drop is None and kp.id in kept:
+                drop = "duplicate id"
         else:
+            if drop is not None and kept is seen_ids:
+                kept = dict(seen_ids)
             seen_ids[kp.id] = kp
-        if drop is None and kp.id in kept:
-            drop = "duplicate id"
         if drop is None:
             kept[kp.id] = kp
         else:

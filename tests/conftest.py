@@ -5,6 +5,7 @@ used to cross-check the scorer and the statistics."""
 from __future__ import annotations
 
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -224,6 +225,26 @@ def synth_corpus(
         doc_id = f"{doc_prefix}{i:0{width}}"
         docs[doc_id] = synth_document(rng, doc_id, **doc_kwargs)
     return Corpus(docs)
+
+
+def traced_call(fn):
+    """Call `fn()` under tracemalloc.
+
+    Returns its result, the bytes that the result still holds when the call
+    returns, and the transient peak: the most the call held above that.
+    """
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    return result, current - before, peak - current
 
 
 def random_scored_pair(rng: random.Random, doc_id: str = "d") -> tuple[Document, Document]:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import misalignment_corpus, synth_corpus
+from conftest import misalignment_corpus, synth_corpus, synth_document, traced_call
 from kpeval import (
     Corpus,
     KeyphraseType,
@@ -306,3 +306,11 @@ def test_gazetteer_predict_equals_reference_algorithm(case):
     gaz = gazetteer_build(Corpus({"train": train}))
     texts = Corpus({"d": target})
     assert gazetteer_predict(gaz, texts)["d"] == _reference_gazetteer_predict(gaz, texts)["d"]
+
+
+def test_gazetteer_predict_holds_no_more_than_its_output():
+    doc = synth_document(random.Random(3), "long", n_sentences=400, n_mentions=600)
+    corpus = Corpus({doc.doc_id: doc})
+    gaz = gazetteer_build(corpus)
+    _, output, transient = traced_call(lambda: gazetteer_predict(gaz, corpus))
+    assert transient <= output

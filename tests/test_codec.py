@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EXAMPLE_TEXT, example_document, misalignment_corpus, synth_document
+from conftest import (
+    EXAMPLE_TEXT,
+    example_document,
+    misalignment_corpus,
+    synth_document,
+    traced_call,
+)
 from kpeval import (
     KeyphraseType,
     LabeledSequence,
@@ -28,12 +34,14 @@ from kpeval.codec import (
     CROSS_SENTENCE_RELATION,
     CROSSES_SENTENCE,
     OVERLAP,
+    _TOKEN,
     AlignmentOutcome,
     SentenceTokenization,
     Token,
     _resolve_overlaps,
     sequences_from_tsv,
     sequences_to_tsv,
+    tokenize_document,
 )
 from kpeval.model import TYPE_PRIORITY, is_canonical
 
@@ -841,13 +849,18 @@ def _assert_encodes_like_reference(doc, snap):
     return outcome
 
 
-# Words, joined tokens, lone punctuation, sentence ends with closing quotes
-# and brackets, and whitespace runs of every kind, concatenated at random.
+# Words, joined tokens, digits, lone punctuation, sentence ends with closing
+# quotes and brackets, and whitespace runs of every kind (no-break and line
+# separators too), concatenated at random.
 _PIECES = (
-    "Alpha", "beta", "Gamma", "ConLL-2003", "x+y", "e'f", "7", "9.5", "NER",
-    "façade", "Ωmega", "(", ")", ",", ".", "!", "?", ".)", '."', ".’", "!”",
+    "Alpha", "beta", "Gamma", "ConLL-2003", "x+y", "e'f", "7", "42", "9.5", "NER",
+    "façade", "Ωmega", "(", ")", ",", ".", "!", "?", ".)", '."', ".’", "!”", "?]",
+    "!}",
 )
-_GAPS = (" ", "  ", "\n", "\t", "\u00a0", "\u2003", " " * 40, "\n \n\t ")
+_GAPS = (
+    " ", "  ", "\n", "\t", "\u00a0", "\u2003", "\u2028", "\u2029", "\x85", " " * 40,
+    "\n \n\t ",
+)
 
 
 @st.composite
@@ -894,6 +907,14 @@ def test_encode_equals_reference_algorithm(doc, snap):
 @given(st.one_of(_texts(), st.text()))
 def test_split_sentences_equals_reference_algorithm(text):
     assert split_sentences(text) == _reference_split_sentences(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_texts(), st.text()))
+def test_one_pass_over_the_text_finds_the_tokens_of_its_sentences(text):
+    # gazetteer_predict tokenizes the whole text at once and relies on this.
+    tokens = [Token(m.start(), m.end(), m.group()) for m in _TOKEN.finditer(text)]
+    assert tokens == [t for sent in tokenize_document(text) for t in sent.tokens]
 
 
 def test_encode_equals_reference_on_every_placement_case():
@@ -960,3 +981,10 @@ def test_encode_cost_grows_linearly_with_sentences(snap):
 
     small, large = _long_document(100), _long_document(800)
     assert best_of_3(large) <= 20 * best_of_3(small)
+
+
+def test_encode_holds_little_beyond_its_tokenization():
+    doc = synth_document(random.Random(3), "long", n_sentences=400, n_mentions=600)
+    _, tokenization, _ = traced_call(lambda: tokenize_document(doc.text))
+    _, _, transient = traced_call(lambda: encode_document(doc))
+    assert transient <= 0.3 * tokenization

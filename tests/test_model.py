@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import synth_document
@@ -21,7 +21,21 @@ from kpeval import (
     serialize_annotations,
     validate_document,
 )
-from kpeval.model import canonical_form, drop_invalid, is_canonical, relation_key
+from kpeval.model import (
+    CROSS_TYPE_RELATION,
+    DANGLING_ARGUMENT,
+    DUPLICATE_ID,
+    DUPLICATE_SPAN,
+    OFFSET_OUT_OF_BOUNDS,
+    SELF_RELATION,
+    SURFACE_MISMATCH,
+    ValidationReport,
+    _walk,
+    canonical_form,
+    drop_invalid,
+    is_canonical,
+    relation_key,
+)
 
 K = KeyphraseType
 R = RelationType
@@ -326,6 +340,125 @@ def _reference_drop_invalid(doc):
         else:
             rels.append(rel)
     return Document(doc.doc_id, doc.text, tuple(keep), tuple(rels)), dropped
+
+
+def _reference_walk(doc):
+    """The walk with two id maps that are filled side by side, as an oracle
+    for the one that shares a single map until the two views part."""
+    report = ValidationReport()
+    dropped = []
+    n = len(doc.text)
+    seen_ids = {}  # first definition of each id
+    kept = {}  # first valid keyphrase of each id
+    seen_spans = set()
+    for kp in doc.keyphrases:
+        drop = None
+        if not (0 <= kp.start < kp.end <= n):
+            drop = "span out of bounds"
+            report.error(
+                doc.doc_id,
+                OFFSET_OUT_OF_BOUNDS,
+                f"{kp.id}: span ({kp.start}, {kp.end}) outside text of length {n}",
+            )
+        elif kp.surface != doc.text[kp.start : kp.end]:
+            drop = "surface mismatch"
+            report.error(
+                doc.doc_id,
+                SURFACE_MISMATCH,
+                f"{kp.id}: surface {kp.surface!r} != text slice "
+                f"{doc.text[kp.start:kp.end]!r}",
+            )
+        if kp.id in seen_ids:
+            report.error(doc.doc_id, DUPLICATE_ID, f"id {kp.id} defined twice")
+        else:
+            seen_ids[kp.id] = kp
+        if drop is None and kp.id in kept:
+            drop = "duplicate id"
+        if drop is None:
+            kept[kp.id] = kp
+        else:
+            dropped.append(f"keyphrase {kp.id}: {drop}")
+        key = kp.sort_key()
+        if key in seen_spans:
+            report.warn(
+                doc.doc_id,
+                DUPLICATE_SPAN,
+                f"{kp.id}: duplicates span ({kp.start}, {kp.end}, {kp.ktype.value})",
+            )
+        seen_spans.add(key)
+    relations = []
+    for rel in doc.relations:
+        if rel.arg1 == rel.arg2:
+            drop = "self-relation"
+            report.error(
+                doc.doc_id, SELF_RELATION, f"{rel.rtype.value} relates {rel.arg1} to itself"
+            )
+        else:
+            drop = None if rel.arg1 in kept and rel.arg2 in kept else "dangling argument"
+            dangling = [a for a in (rel.arg1, rel.arg2) if a not in seen_ids]
+            if dangling:
+                report.error(
+                    doc.doc_id,
+                    DANGLING_ARGUMENT,
+                    f"{rel.rtype.value}({rel.arg1}, {rel.arg2}): no keyphrase "
+                    + ", ".join(dangling),
+                )
+            else:
+                k1, k2 = seen_ids[rel.arg1], seen_ids[rel.arg2]
+                if k1.ktype != k2.ktype:
+                    report.warn(
+                        doc.doc_id,
+                        CROSS_TYPE_RELATION,
+                        f"{rel.rtype.value}({rel.arg1}, {rel.arg2}) links "
+                        f"{k1.ktype.value} to {k2.ktype.value}",
+                    )
+        if drop is None:
+            relations.append(rel)
+        else:
+            dropped.append(f"{rel.rtype.value}({rel.arg1}, {rel.arg2}): {drop}")
+    if dropped:
+        doc = Document(doc.doc_id, doc.text, tuple(kept.values()), tuple(relations))
+    return report, doc, dropped
+
+
+@st.composite
+def _id_defined_invalid_and_valid(draw):
+    """A document in which one id has an invalid and a valid definition, in
+    either order, among other keyphrases of any validity."""
+    doc = draw(_ANY_DOCUMENT)
+    kp_id = draw(_IDS)
+    valid = Keyphrase(kp_id, draw(st.sampled_from(K)), 6, 10, "beta")
+    invalid = draw(st.sampled_from([
+        Keyphrase(kp_id, K.TASK, 6, 10, "x"),
+        Keyphrase(kp_id, K.TASK, 6, 99, "beta"),
+    ]))
+    pair = [invalid, valid] if draw(st.booleans()) else [valid, invalid]
+    kps = list(doc.keyphrases)
+    i = draw(st.integers(0, len(kps)))
+    kps.insert(i, pair[0])
+    kps.insert(draw(st.integers(i + 1, len(kps))), pair[1])
+    return doc._replace(keyphrases=tuple(kps))
+
+
+_ALPHA = Keyphrase("T1", K.TASK, 0, 5, "alpha")
+_BROKEN_ALPHA = Keyphrase("T1", K.TASK, 0, 5, "x")
+_GAMMA = Keyphrase("T2", K.TASK, 11, 16, "gamma")
+_LINK = Relation(R.HYPONYM_OF, "T1", "T2")
+
+
+@settings(max_examples=300)
+@given(st.one_of(_ANY_DOCUMENT, _id_defined_invalid_and_valid()))
+@example(Document("d", _TEXT, (_BROKEN_ALPHA, _ALPHA, _GAMMA), (_LINK,)))
+@example(Document("d", _TEXT, (_ALPHA, _BROKEN_ALPHA, _GAMMA), (_LINK,)))
+@example(Document("d", _TEXT, (_GAMMA, _BROKEN_ALPHA, _GAMMA, _ALPHA), (_LINK,)))
+def test_walk_equals_the_walk_with_two_id_maps(doc):
+    report, clean, dropped = _walk(doc)
+    want_report, want_clean, want_dropped = _reference_walk(doc)
+    assert report.errors == want_report.errors
+    assert report.warnings == want_report.warnings
+    assert report.dropped == want_report.dropped
+    assert clean == want_clean
+    assert dropped == want_dropped
 
 
 @settings(max_examples=300)
