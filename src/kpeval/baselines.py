@@ -7,9 +7,11 @@ training keyphrase list and string-matches it, the classic "remember the
 training set" baseline.
 
 All generators emit ordinary annotation corpora, so their output flows
-through the scorer exactly like a participant submission.  RANDOM derives an
-independent substream per (seed, doc_id), which makes output independent of
-document processing order.
+through the scorer exactly like a participant submission.  Each one is a loop
+over a function of one document, which `kpeval baseline` calls directly, so
+that it holds the input corpus and one predicted document at a time.  RANDOM
+derives an independent substream per (seed, doc_id), which makes output
+independent of document processing order.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import bisect
 import enum
 import random
+from typing import Callable
 
 from .brat import Corpus
 from .codec import (
@@ -49,14 +52,11 @@ class BaselineKind(enum.Enum):
 
 def oracle_predict(gold: Corpus, snap: bool = False) -> Corpus:
     """decode(encode(doc)) for every document; a projection, hence idempotent."""
-    return Corpus(
-        {
-            doc.doc_id: decode_document(
-                encode_document(doc, snap)[0], doc.text, doc.doc_id
-            )
-            for doc in gold
-        }
-    )
+    return Corpus({doc.doc_id: _oracle_document(doc, snap) for doc in gold})
+
+
+def _oracle_document(doc: Document, snap: bool) -> Document:
+    return decode_document(encode_document(doc, snap)[0], doc.text, doc.doc_id)
 
 
 def roundtrip_report(corpus: Corpus, snap: bool = False) -> ScoreReport:
@@ -83,16 +83,17 @@ def random_predict(texts: Corpus, scenario: Scenario, seed: int) -> Corpus:
     {O, S, H} for every ordered pair of span head tokens in all scenarios.
     The output is fully determined by (seed, doc_id).
     """
-    documents = {}
-    for doc in texts:
-        rng = _doc_rng(seed, doc.doc_id)
-        if scenario is Scenario.S1:
-            sequences = _random_sequences(doc, rng)
-        else:
-            sequences, _ = encode_document(doc)
-            sequences = [_redraw(seq, scenario, rng) for seq in sequences]
-        documents[doc.doc_id] = decode_document(sequences, doc.text, doc.doc_id)
-    return Corpus(documents)
+    return Corpus({doc.doc_id: _random_document(doc, scenario, seed) for doc in texts})
+
+
+def _random_document(doc: Document, scenario: Scenario, seed: int) -> Document:
+    rng = _doc_rng(seed, doc.doc_id)
+    if scenario is Scenario.S1:
+        sequences = _random_sequences(doc, rng)
+    else:
+        sequences, _ = encode_document(doc)
+        sequences = [_redraw(seq, scenario, rng) for seq in sequences]
+    return decode_document(sequences, doc.text, doc.doc_id)
 
 
 def _random_sequences(doc: Document, rng: random.Random) -> list[LabeledSequence]:
@@ -140,12 +141,10 @@ def _random_cells(heads: list[int], rng: random.Random) -> dict[tuple[int, int],
 
 
 class Gazetteer:
-    """Normalized training surfaces with their majority type and frequency,
-    and the length in characters of the longest surface."""
+    """Normalized training surfaces with their majority type and frequency."""
 
-    def __init__(self, entries: dict[str, tuple[KeyphraseType, int]], max_chars: int) -> None:
+    def __init__(self, entries: dict[str, tuple[KeyphraseType, int]]) -> None:
         self.entries = entries
-        self.max_chars = max_chars
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -177,7 +176,7 @@ def gazetteer_build(train: Corpus) -> Gazetteer:
             key=lambda item: (item[1], -TYPE_PRIORITY.index(item[0])),
         )[0]
         entries[key] = (best, sum(per_type.values()))
-    return Gazetteer(entries, max(map(len, entries), default=0))
+    return Gazetteer(entries)
 
 
 def gazetteer_predict(gaz: Gazetteer, texts: Corpus) -> Corpus:
@@ -196,9 +195,15 @@ def gazetteer_predict(gaz: Gazetteer, texts: Corpus) -> Corpus:
     relations are predicted, and a surface absent from the training set can
     never be produced.
     """
+    match = _gazetteer_matcher(gaz)
+    return Corpus({doc.doc_id: match(doc) for doc in texts})
+
+
+def _gazetteer_matcher(gaz: Gazetteer) -> Callable[[Document], Document]:
+    """The `gazetteer_predict` of one document, with the entries sorted once."""
     keys = sorted(gaz.entries)
-    documents = {}
-    for doc in texts:
+
+    def match(doc: Document) -> Document:
         text = doc.text
         starts: list[int] = []
         ends: list[int] = []
@@ -229,5 +234,6 @@ def gazetteer_predict(gaz: Gazetteer, texts: Corpus) -> Corpus:
                     Keyphrase(f"T{len(keyphrases) + 1}", ktype, start, end, text[start:end])
                 )
                 i = j + 1
-        documents[doc.doc_id] = Document(doc.doc_id, text, tuple(keyphrases))
-    return Corpus(documents)
+        return Document(doc.doc_id, text, tuple(keyphrases))
+
+    return match

@@ -310,12 +310,19 @@ def load_predictions(dir_path: str | Path, reference: Corpus) -> tuple[Corpus, V
 
 
 def save_corpus(corpus: Corpus, dir_path: str | Path, write_text: bool = False) -> None:
-    """Write one .ann file per document (plus .txt when requested)."""
+    """Write one .ann file per document (plus .txt when requested).
+
+    Each document is serialized and written before the next, by the same
+    per-document writer that `kpeval baseline` calls as it makes each
+    prediction, so the writer holds one serialized document at a time.
+    """
     dir_path = Path(dir_path)
     dir_path.mkdir(parents=True, exist_ok=True)
     for doc in corpus:
-        (dir_path / f"{doc.doc_id}.ann").write_text(
-            serialize_annotations(doc), encoding="utf-8"
-        )
-        if write_text:
-            (dir_path / f"{doc.doc_id}.txt").write_text(doc.text, encoding="utf-8")
+        _save_document(doc, dir_path, write_text)
+
+
+def _save_document(doc: Document, dir_path: Path, write_text: bool = False) -> None:
+    (dir_path / f"{doc.doc_id}.ann").write_text(serialize_annotations(doc), encoding="utf-8")
+    if write_text:
+        (dir_path / f"{doc.doc_id}.txt").write_text(doc.text, encoding="utf-8")

@@ -10,6 +10,7 @@ identical invocations on identical inputs produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import shutil
 import sys
 import tempfile
@@ -19,6 +20,7 @@ from typing import TYPE_CHECKING
 # Each command imports the modules it runs, so that building the parser, and
 # a command that needs few of them, loads no more than it uses.
 if TYPE_CHECKING:
+    from .baselines import Gazetteer
     from .brat import Corpus, ValidationReport
 
 
@@ -82,7 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", type=Path, help="training corpus (gazetteer)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scenario", type=int, choices=(1, 2, 3), default=1)
-    p.add_argument("--snap", action="store_true")
+    p.add_argument("--snap", action="store_true",
+                   help="expand misaligned spans to token boundaries (oracle)")
     p.add_argument("--force", action="store_true")
     p.add_argument("--jobs", **_JOBS)
 
@@ -127,21 +130,31 @@ def _prepare_corpus(corpus: Corpus, report: ValidationReport) -> Corpus:
 
 
 def _write_atomic(out_dir: Path, force: bool, writer) -> None:
-    """Populate `out_dir` via a temp directory and a final rename."""
-    if out_dir.exists():
-        if not force:
-            raise SystemExit(
-                _usage_error(f"{out_dir} exists; pass --force to overwrite")
-            )
+    """Populate `out_dir` via a temp directory and a final rename.
+
+    `writer(tmp)` writes each output file as soon as it is made, and reports
+    what it could not make before it returns.  So it runs before the check
+    that `out_dir` may be replaced, and what it reports precedes a refusal.
+    On any failure the temp directory, and each parent directory made for it,
+    is removed.
+    """
+    made = [parent for parent in out_dir.parents if not parent.exists()]
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     tmp = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=out_dir.parent))
     try:
         writer(tmp)
         if out_dir.exists():
+            if not force:
+                raise SystemExit(
+                    _usage_error(f"{out_dir} exists; pass --force to overwrite")
+                )
             shutil.rmtree(out_dir)
         tmp.rename(out_dir)
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
+        for parent in made:  # innermost first
+            with contextlib.suppress(OSError):
+                parent.rmdir()
         raise
 
 
@@ -170,12 +183,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_score(args: argparse.Namespace) -> int:
     from . import brat, scoring
 
-    gold_raw, gold_report = brat.load_corpus(args.gold)
-    pred_raw, pred_report = brat.load_predictions(args.pred, gold_raw)
+    gold, gold_report = brat.load_corpus(args.gold)
+    pred, pred_report = brat.load_predictions(args.pred, gold)
     _print_report_entries(gold_report)
     _print_report_entries(pred_report)
-    gold = _prepare_corpus(gold_raw, gold_report)
-    pred = _prepare_corpus(pred_raw, pred_report)
+    # Rebinding drops each loaded corpus as soon as its canonical copy exists.
+    gold = _prepare_corpus(gold, gold_report)
+    pred = _prepare_corpus(pred, pred_report)
     scenario = scoring.Scenario(args.scenario)
 
     try:
@@ -216,14 +230,17 @@ def _read_genre_map(path: Path) -> dict[str, str]:
 def cmd_convert(args: argparse.Namespace) -> int:
     from . import brat, codec
 
-    files: dict[str, str] = {}  # output file name -> content
     if args.to == "seq":
-        corpus_raw, report = brat.load_corpus(args.in_dir)
+        corpus, report = brat.load_corpus(args.in_dir)
         _print_report_entries(report)
-        for doc in _prepare_corpus(corpus_raw, report):
-            sequences, _ = codec.encode_document(doc, snap=args.snap)
-            files[f"{doc.doc_id}.seq"] = codec.sequences_to_tsv(sequences)
-            files[f"{doc.doc_id}.txt"] = doc.text
+        corpus = _prepare_corpus(corpus, report)
+
+        def writer(tmp: Path) -> None:
+            for doc in corpus:
+                sequences, _ = codec.encode_document(doc, snap=args.snap)
+                tsv = codec.sequences_to_tsv(sequences)
+                (tmp / f"{doc.doc_id}.seq").write_text(tsv, encoding="utf-8")
+                (tmp / f"{doc.doc_id}.txt").write_text(doc.text, encoding="utf-8")
     else:
         if not args.in_dir.is_dir():
             return _usage_error(f"not a directory: {args.in_dir}")
@@ -231,53 +248,62 @@ def cmd_convert(args: argparse.Namespace) -> int:
         if not seq_paths:
             return _usage_error(f"no .seq files in {args.in_dir}")
         report = brat.ValidationReport()
-        for path in seq_paths:
-            txt = path.with_suffix(".txt")
-            if not txt.exists():
-                return _usage_error(f"{path.name} has no matching .txt")
-            text = brat.read_text(txt)
-            try:
-                sequences = codec.sequences_from_tsv(brat.read_utf8(path), path.name, text)
-                doc = codec.decode_document(sequences, text, path.stem)
-            except brat.MalformedLine as exc:
-                report.error(path.stem, exc.code, str(exc))
-                continue
-            files[f"{path.stem}.ann"] = brat.serialize_annotations(doc)
-            files[f"{path.stem}.txt"] = text
-        _print_report_entries(report)
 
-    def writer(tmp: Path) -> None:
-        for name, content in files.items():
-            (tmp / name).write_text(content, encoding="utf-8")
+        def writer(tmp: Path) -> None:
+            for path in seq_paths:
+                txt = path.with_suffix(".txt")
+                if not txt.exists():
+                    raise SystemExit(_usage_error(f"{path.name} has no matching .txt"))
+                text = brat.read_text(txt)
+                try:
+                    sequences = codec.sequences_from_tsv(brat.read_utf8(path), path.name, text)
+                    doc = codec.decode_document(sequences, text, path.stem)
+                except brat.MalformedLine as exc:
+                    report.error(path.stem, exc.code, str(exc))
+                    continue
+                ann = brat.serialize_annotations(doc)
+                (tmp / f"{path.stem}.ann").write_text(ann, encoding="utf-8")
+                (tmp / f"{path.stem}.txt").write_text(text, encoding="utf-8")
+            _print_report_entries(report)
 
     _write_atomic(args.out_dir, args.force, writer)
     return 0 if report.ok else 1
 
 
+def _load_gazetteer(train_dir: Path) -> Gazetteer:
+    """The gazetteer of a training directory; the corpus is dropped on return."""
+    from . import baselines, brat
+
+    train, report = brat.load_corpus(train_dir)
+    _print_report_entries(report)
+    if not len(train):
+        raise SystemExit(_usage_error(f"no .txt/.ann pairs in {train_dir}"))
+    train = _prepare_corpus(train, report)
+    return baselines.gazetteer_build(train)
+
+
 def cmd_baseline(args: argparse.Namespace) -> int:
+    if args.snap and args.kind != "oracle":
+        return _usage_error("--snap applies to --kind oracle")
     from . import baselines, brat, scoring
 
-    corpus_raw, report = brat.load_corpus(args.in_dir)
+    corpus, report = brat.load_corpus(args.in_dir)
     _print_report_entries(report)
-    corpus = _prepare_corpus(corpus_raw, report)
+    corpus = _prepare_corpus(corpus, report)
     kind = baselines.BaselineKind(args.kind)
     if kind is baselines.BaselineKind.ORACLE:
-        predicted = baselines.oracle_predict(corpus, snap=args.snap)
+        predict = lambda doc: baselines._oracle_document(doc, args.snap)
     elif kind is baselines.BaselineKind.RANDOM:
         scenario = scoring.Scenario(args.scenario)
-        predicted = baselines.random_predict(corpus, scenario, args.seed)
+        predict = lambda doc: baselines._random_document(doc, scenario, args.seed)
     else:
         if not args.train:
             return _usage_error("--kind gazetteer requires --train")
-        train_raw, train_report = brat.load_corpus(args.train)
-        _print_report_entries(train_report)
-        if not len(train_raw):
-            return _usage_error(f"no .txt/.ann pairs in {args.train}")
-        gaz = baselines.gazetteer_build(_prepare_corpus(train_raw, train_report))
-        predicted = baselines.gazetteer_predict(gaz, corpus)
+        predict = baselines._gazetteer_matcher(_load_gazetteer(args.train))
 
     def writer(tmp: Path) -> None:
-        brat.save_corpus(predicted, tmp)
+        for doc in corpus:
+            brat._save_document(predict(doc), tmp)
 
     _write_atomic(args.out_dir, args.force, writer)
     return 0 if report.ok else 1
@@ -290,12 +316,10 @@ def cmd_agreement(args: argparse.Namespace) -> int:
     corpus_b, report_b = brat.load_corpus(args.dir_b)
     _print_report_entries(report_a)
     _print_report_entries(report_b)
+    corpus_a = _prepare_corpus(corpus_a, report_a)
+    corpus_b = _prepare_corpus(corpus_b, report_b)
     try:
-        report = analytics.agreement_report(
-            _prepare_corpus(corpus_a, report_a),
-            _prepare_corpus(corpus_b, report_b),
-            granularity=args.granularity,
-        )
+        report = analytics.agreement_report(corpus_a, corpus_b, granularity=args.granularity)
     except ValueError as exc:
         return _usage_error(str(exc))
     out = (

@@ -13,21 +13,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import misalignment_corpus, random_scored_pair, synth_corpus, write_corpus_dir
+from conftest import (
+    misalignment_corpus,
+    random_scored_pair,
+    synth_corpus,
+    traced_call,
+    write_corpus_dir,
+)
 from kpeval import (
     BaselineKind,
     Corpus,
     Scenario,
     canonicalize_document,
+    encode_document,
+    gazetteer_build,
+    gazetteer_predict,
     load_corpus,
     load_predictions,
     make_document,
     model,
+    oracle_predict,
+    random_predict,
     roundtrip_report,
     save_corpus,
     score_scenario,
 )
 from kpeval.cli import build_parser, run_cli
+from kpeval.codec import sequences_to_tsv
 from kpeval.scoring import report_to_json, report_to_text
 
 
@@ -266,12 +278,13 @@ def test_baseline_gazetteer_without_training_documents_is_usage_error(
     assert not out.exists()
 
 
-def _misaligned_corpus(rng):
-    """A synthetic corpus with a third of its spans shifted one character
-    into their first token and, in some documents, one span that crosses
-    sentences or overlaps others."""
+def _misaligned_corpus(rng, n_docs=None):
+    """A synthetic corpus of `n_docs` documents (1 to 3 when not given) with a
+    third of its spans shifted one character into their first token and, in
+    some documents, one span that crosses sentences or overlaps others."""
     documents = {}
-    for doc in synth_corpus(rng, rng.randint(1, 3), n_sentences=3, n_mentions=6, n_relations=3):
+    n_docs = rng.randint(1, 3) if n_docs is None else n_docs
+    for doc in synth_corpus(rng, n_docs, n_sentences=3, n_mentions=6, n_relations=3):
         kps = [
             (kp.id, kp.ktype, kp.start + (kp.end - kp.start > 1 and rng.random() < 1 / 3), kp.end)
             for kp in doc.keyphrases
@@ -768,6 +781,156 @@ def test_no_input_makes_a_command_raise(files, genre_map):
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 assert run_cli(argv) in (0, 1, 2), argv
+
+
+# --- writers: one output document at a time ----------------------------------
+
+
+@pytest.mark.parametrize("kind", [
+    ["--kind", "random"], ["--kind", "gazetteer"], ["--kind", "gazetteer", "--train", "t"],
+])
+def test_baseline_snap_applies_only_to_the_oracle(tmp_path, capsys, kind):
+    # The input directory does not exist: the refusal comes before any load.
+    argv = ["baseline", *kind, "--snap", "--in", str(tmp_path / "missing"),
+            "--out", str(tmp_path / "out")]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == "error: --snap applies to --kind oracle\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 10**6))
+def test_streamed_writers_equal_the_whole_corpus_functions(seed):
+    """Each writing command's tree equals what the whole-corpus functions
+    write through `save_corpus`, or through `sequences_to_tsv` for `.seq`."""
+    rng = random.Random(seed)
+    corpus = _misaligned_corpus(rng, n_docs=rng.randint(2, 5))
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        gold = str(write_corpus_dir(corpus, root / "gold"))
+
+        def written(*argv):
+            out = root / f"cli{len(list(root.iterdir()))}"
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert run_cli([*argv, "--out", str(out)]) == 0
+            return out
+
+        def saved(predicted, write_text=False):
+            out = root / f"lib{len(list(root.iterdir()))}"
+            save_corpus(predicted, out, write_text)
+            return _dir_bytes(out)
+
+        for snap in ([], ["--snap"]):
+            seq = written("convert", "--to", "seq", *snap, "--in", gold)
+            assert _dir_bytes(seq) == {
+                name: content.encode()
+                for doc in corpus
+                for name, content in (
+                    (f"{doc.doc_id}.seq", sequences_to_tsv(encode_document(doc, bool(snap))[0])),
+                    (f"{doc.doc_id}.txt", doc.text),
+                )
+            }
+            oracle = oracle_predict(corpus, bool(snap))
+            assert _dir_bytes(written("convert", "--to", "ann", "--in", str(seq))) == saved(
+                oracle, write_text=True
+            )
+            assert _dir_bytes(written("baseline", "--kind", "oracle", *snap, "--in", gold)) == (
+                saved(oracle)
+            )
+        for scenario in Scenario:
+            argv = ["baseline", "--kind", "random", "--scenario", str(scenario.value),
+                    "--seed", str(seed), "--in", gold]
+            assert _dir_bytes(written(*argv)) == saved(random_predict(corpus, scenario, seed))
+        argv = ["baseline", "--kind", "gazetteer", "--train", gold, "--in", gold]
+        assert _dir_bytes(written(*argv)) == saved(
+            gazetteer_predict(gazetteer_build(corpus), corpus)
+        )
+
+
+_OUT_OF_ORDER_SEQ = "heat\t18\t22\tB\tM\nGraphene\t0\t8\tI\tM\n"
+_OUT_OF_ORDER_ERROR = (
+    "ERROR   [MALFORMED_LINE] doc1.seq line 2: token out of order: starts at 0, "
+    "before the previous token ends at 22: 'Graphene\\t0\\t8\\tI\\tM'\n"
+)
+
+
+@pytest.fixture
+def seq_dir(corpus_dir, tmp_path):
+    """The .seq conversion of `corpus_dir`: doc0 to doc3."""
+    seq = tmp_path / "seq"
+    assert run_cli(["convert", "--to", "seq", "--in", str(corpus_dir), "--out", str(seq)]) == 0
+    return seq
+
+
+def _temp_dirs(path):
+    return [p.name for p in path.iterdir() if p.name.startswith(".")]
+
+
+@pytest.mark.parametrize("argv, malformed", [
+    (["convert", "--to", "seq", "--in", "{gold}"], False),
+    (["convert", "--to", "ann", "--in", "{seq}"], False),
+    (["convert", "--to", "ann", "--in", "{seq}"], True),
+    (["baseline", "--kind", "oracle", "--in", "{gold}"], False),
+    (["baseline", "--kind", "random", "--in", "{gold}"], False),
+    (["baseline", "--kind", "gazetteer", "--train", "{gold}", "--in", "{gold}"], False),
+])
+def test_existing_output_is_refused_after_the_diagnostics(
+    corpus_dir, seq_dir, tmp_path, capsys, argv, malformed
+):
+    if malformed:
+        (seq_dir / "doc1.txt").write_text("Graphene conducts heat.", encoding="utf-8")
+        (seq_dir / "doc1.seq").write_text(_OUT_OF_ORDER_SEQ, encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "keep").write_text("mine", encoding="utf-8")
+    argv = [arg.format(gold=corpus_dir, seq=seq_dir) for arg in argv]
+    capsys.readouterr()
+    assert run_cli([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (_OUT_OF_ORDER_ERROR if malformed else "") + (
+        f"error: {out} exists; pass --force to overwrite\n"
+    )
+    assert _dir_bytes(out) == {"keep": b"mine"}
+    assert _temp_dirs(tmp_path) == []
+    assert run_cli([*argv, "--out", str(out), "--force"]) == (1 if malformed else 0)
+    assert "keep" not in _dir_bytes(out)
+    assert _temp_dirs(tmp_path) == []
+
+
+@pytest.mark.parametrize("out_parts", [["out"], ["new", "deeper", "out"]])
+def test_seq_without_its_text_leaves_no_output(seq_dir, tmp_path, capsys, out_parts):
+    (seq_dir / "doc1.txt").unlink()
+    out = tmp_path.joinpath(*out_parts)
+    capsys.readouterr()
+    assert run_cli(["convert", "--to", "ann", "--in", str(seq_dir), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: doc1.seq has no matching .txt\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus", "seq"]
+
+
+def test_malformed_seq_among_good_ones_writes_the_rest(seq_dir, tmp_path, capsys):
+    (seq_dir / "doc1.txt").write_text("Graphene conducts heat.", encoding="utf-8")
+    (seq_dir / "doc1.seq").write_text(_OUT_OF_ORDER_SEQ, encoding="utf-8")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run_cli(["convert", "--to", "ann", "--in", str(seq_dir), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == _OUT_OF_ORDER_ERROR
+    assert sorted(p.name for p in out.iterdir()) == [
+        f"doc{i}{ext}" for i in (0, 2, 3) for ext in (".ann", ".txt")
+    ]
+    assert _temp_dirs(tmp_path) == []
+
+
+def test_baseline_holds_one_predicted_document_at_a_time(tmp_path):
+    """The transient peak of a random baseline, relative to its corpus."""
+    gold = write_corpus_dir(synth_corpus(random.Random(5), 32), tmp_path / "gold")
+    _, loaded, _ = traced_call(lambda: load_corpus(gold))
+    argv = ["baseline", "--kind", "random", "--scenario", "1", "--seed", "1", "--in", str(gold)]
+    assert run_cli([*argv, "--out", str(tmp_path / "warm")]) == 0  # imports, caches
+    code, _, transient = traced_call(lambda: run_cli([*argv, "--out", str(tmp_path / "out")]))
+    assert code == 0
+    # About 1.4x when one predicted document is alive at a time; holding
+    # every prediction before writing any takes about 4.6x.
+    assert transient <= 2.5 * loaded
 
 
 # --- each command loads only the modules it runs ------------------------------
