@@ -17,9 +17,11 @@ File conventions (one document = `<stem>.txt` + `<stem>.ann`, both UTF-8):
     to canonical pairs.  The surface column is only validated against the
     text slice; offsets are the source of truth.
 
-The loaders return documents that validate: each annotation that breaks an
-error rule is reported, left out, and listed in `ValidationReport.dropped`.
-Parsing of distinct documents is pure and may run concurrently.
+The loaders return canonical documents: each annotation that breaks an error
+rule is reported, left out, and listed in `ValidationReport.dropped`, and the
+rest is put in canonical form (duplicate spans merged, ids renumbered T1..Tn,
+relations sorted), so what a loader returns can be saved as it is.  Parsing
+of distinct documents is pure and may run concurrently.
 """
 
 from __future__ import annotations
@@ -34,8 +36,10 @@ from .model import (
     KeyphraseType,
     Relation,
     RelationType,
+    SURFACE_MISMATCH,
     ValidationReport,
     _walk,
+    canonical_form,
     is_canonical,
 )
 
@@ -166,14 +170,15 @@ _FLATTEN = str.maketrans({"\n": " ", "\r": " ", "\t": " "})
 def parse_document_pair(
     doc_id: str, text: str, ann: str
 ) -> tuple[Document, ValidationReport]:
-    """Assemble a valid Document from raw .txt content and .ann content.
+    """Assemble a canonical Document from raw .txt content and .ann content.
 
     Malformed lines are recorded as MALFORMED_LINE errors with their line
     number and skipped; no line is ever dropped silently.  A keyphrase keeps
     the text slice at its offsets; a surface column equal to neither the slice
     nor its flattened form is a SURFACE_MISMATCH error.  The document is walked
-    once: the report carries the validate_document output, and the document
-    comes back stripped as by drop_invalid, each removal in `report.dropped`.
+    once: the report carries the validate_document output of the document as
+    written, and the document comes back stripped as by drop_invalid, each
+    removal in `report.dropped`, and then in canonical form.
     """
     report = ValidationReport()
     text = text.removeprefix("\ufeff")
@@ -196,7 +201,7 @@ def parse_document_pair(
                 if surface and surface.translate(_FLATTEN) != parsed.surface:
                     report.error(
                         doc_id,
-                        "SURFACE_MISMATCH",
+                        SURFACE_MISMATCH,
                         f"{doc_id}.ann line {lineno}: {parsed.id} column "
                         f"{parsed.surface!r} != text slice {surface!r}",
                     )
@@ -208,7 +213,7 @@ def parse_document_pair(
     doc_report, doc, dropped = _walk(doc)
     report.extend(doc_report)
     report.dropped.extend((doc_id, message) for message in dropped)
-    return doc, report
+    return canonical_form(doc), report
 
 
 def serialize_annotations(doc: Document) -> str:

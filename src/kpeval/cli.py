@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 # a command that needs few of them, loads no more than it uses.
 if TYPE_CHECKING:
     from .baselines import Gazetteer
-    from .brat import Corpus, ValidationReport
+    from .brat import ValidationReport
 
 
 def _int_at_least(minimum: int):
@@ -116,17 +116,10 @@ def _print_report_entries(report: ValidationReport) -> None:
         print(f"WARNING [{code}] {located(doc_id, message)}", file=sys.stderr)
 
 
-def _prepare_corpus(corpus: Corpus, report: ValidationReport) -> Corpus:
-    """Warn of what the loader stripped, in doc_id order, and canonicalize.
-
-    The loader has already reported on every document and returned it valid,
-    so it needs no second check.
-    """
-    from . import brat, model
-
+def _print_dropped(report: ValidationReport) -> None:
+    """Print on stderr what the loader stripped, in doc_id order."""
     for doc_id, message in sorted(report.dropped, key=lambda entry: entry[0]):
         print(f"WARNING [DROPPED] {doc_id}: {message}", file=sys.stderr)
-    return brat.Corpus({doc.doc_id: model.canonical_form(doc) for doc in corpus})
 
 
 def _write_atomic(out_dir: Path, force: bool, writer) -> None:
@@ -187,9 +180,8 @@ def cmd_score(args: argparse.Namespace) -> int:
     pred, pred_report = brat.load_predictions(args.pred, gold)
     _print_report_entries(gold_report)
     _print_report_entries(pred_report)
-    # Rebinding drops each loaded corpus as soon as its canonical copy exists.
-    gold = _prepare_corpus(gold, gold_report)
-    pred = _prepare_corpus(pred, pred_report)
+    _print_dropped(gold_report)
+    _print_dropped(pred_report)
     scenario = scoring.Scenario(args.scenario)
 
     try:
@@ -233,7 +225,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
     if args.to == "seq":
         corpus, report = brat.load_corpus(args.in_dir)
         _print_report_entries(report)
-        corpus = _prepare_corpus(corpus, report)
+        _print_dropped(report)
 
         def writer(tmp: Path) -> None:
             for doc in corpus:
@@ -247,23 +239,21 @@ def cmd_convert(args: argparse.Namespace) -> int:
         seq_paths = sorted(args.in_dir.glob("*.seq"))
         if not seq_paths:
             return _usage_error(f"no .seq files in {args.in_dir}")
+        for path in seq_paths:
+            if not path.with_suffix(".txt").exists():
+                return _usage_error(f"{path.name} has no matching .txt")
         report = brat.ValidationReport()
 
         def writer(tmp: Path) -> None:
             for path in seq_paths:
-                txt = path.with_suffix(".txt")
-                if not txt.exists():
-                    raise SystemExit(_usage_error(f"{path.name} has no matching .txt"))
-                text = brat.read_text(txt)
+                text = brat.read_text(path.with_suffix(".txt"))
                 try:
                     sequences = codec.sequences_from_tsv(brat.read_utf8(path), path.name, text)
                     doc = codec.decode_document(sequences, text, path.stem)
                 except brat.MalformedLine as exc:
                     report.error(path.stem, exc.code, str(exc))
                     continue
-                ann = brat.serialize_annotations(doc)
-                (tmp / f"{path.stem}.ann").write_text(ann, encoding="utf-8")
-                (tmp / f"{path.stem}.txt").write_text(text, encoding="utf-8")
+                brat._save_document(doc, tmp, write_text=True)
             _print_report_entries(report)
 
     _write_atomic(args.out_dir, args.force, writer)
@@ -278,7 +268,7 @@ def _load_gazetteer(train_dir: Path) -> Gazetteer:
     _print_report_entries(report)
     if not len(train):
         raise SystemExit(_usage_error(f"no .txt/.ann pairs in {train_dir}"))
-    train = _prepare_corpus(train, report)
+    _print_dropped(report)
     return baselines.gazetteer_build(train)
 
 
@@ -289,7 +279,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 
     corpus, report = brat.load_corpus(args.in_dir)
     _print_report_entries(report)
-    corpus = _prepare_corpus(corpus, report)
+    _print_dropped(report)
     kind = baselines.BaselineKind(args.kind)
     if kind is baselines.BaselineKind.ORACLE:
         predict = lambda doc: baselines._oracle_document(doc, args.snap)
@@ -316,8 +306,8 @@ def cmd_agreement(args: argparse.Namespace) -> int:
     corpus_b, report_b = brat.load_corpus(args.dir_b)
     _print_report_entries(report_a)
     _print_report_entries(report_b)
-    corpus_a = _prepare_corpus(corpus_a, report_a)
-    corpus_b = _prepare_corpus(corpus_b, report_b)
+    _print_dropped(report_a)
+    _print_dropped(report_b)
     try:
         report = analytics.agreement_report(corpus_a, corpus_b, granularity=args.granularity)
     except ValueError as exc:

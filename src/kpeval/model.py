@@ -267,13 +267,13 @@ def canonicalize_document(doc: Document) -> Document:
 def canonical_form(doc: Document) -> Document:
     """`canonicalize_document` for a document known to validate, unchecked.
 
-    For callers that hold a document already checked: what a loader
-    (`brat.load_corpus`, `brat.load_predictions`) returned, or one that
-    `validate_document` passed.  An invalid document gives undefined
-    results.  Nothing already canonical is rebuilt: a keyphrase whose id is
-    already its canonical id, and a relation whose arguments are, come back
-    as the same objects, so a canonical document costs one pass and no
-    copies.
+    For callers that hold a document already checked: one that `_walk` has
+    stripped, as `brat.parse_document_pair` does before it returns this
+    form, or one that `validate_document` passed.  What the loaders return
+    is already canonical.  An invalid document gives undefined results.
+    Nothing already canonical is rebuilt: a keyphrase whose id is already its
+    canonical id, and a relation whose arguments are, come back as the same
+    objects, so a canonical document costs one pass and no copies.
     """
     # Merge duplicate spans, keeping one representative per sort key.
     merged: dict[tuple, Keyphrase] = {}

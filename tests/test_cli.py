@@ -25,6 +25,7 @@ from kpeval import (
     Corpus,
     Scenario,
     canonicalize_document,
+    codec,
     encode_document,
     gazetteer_build,
     gazetteer_predict,
@@ -657,6 +658,64 @@ def test_loaded_corpus_scores_without_preparation(tmp_path):
     assert [doc_id for doc_id, _ in report.dropped] == ["a", "a", "a-b", "a-b", "b"]
 
 
+def test_stats_counts_a_duplicated_span_once(tmp_path, capsys):
+    d = tmp_path / "dup"
+    d.mkdir()
+    (d / "a.txt").write_text("graphene conducts heat", encoding="utf-8")
+    (d / "a.ann").write_text(
+        "T1\tMaterial 0 8\tgraphene\nT2\tMaterial 0 8\tgraphene\n"
+        "T3\tProcess 18 22\theat\n",
+        encoding="utf-8",
+    )
+    assert run_cli(["stats", str(d), "--json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "WARNING [DUPLICATE_SPAN] a: T2: duplicates span (0, 8, Material)\n"
+    payload = json.loads(captured.out)
+    assert (payload["n_mentions"], payload["n_unique"], payload["pct_singleton"]) == (2, 2, 100.0)
+    assert payload["top_k"] == [["graphene", 1], ["heat", 1]]
+
+
+def test_library_on_loaded_corpus_equals_cli(tmp_path, capsys):
+    """What the loaders return is canonical, so library calls on it give what
+    the commands print; a `*` line before an `R` line on the same pair keeps
+    the Hyponym-of relation in the oracle either way."""
+    d = tmp_path / "gold"
+    d.mkdir()
+    (d / "a.txt").write_text("Graphene oxide and graphene sheets conduct heat.",
+                             encoding="utf-8")
+    (d / "a.ann").write_text(
+        "T3\tProcess 43 47\theat\n"
+        "T1\tMaterial 19 34\tgraphene sheets\n"
+        "T2\tMaterial 0 14\tGraphene oxide\n"
+        "*\tSynonym-of T1 T2\n"
+        "R1\tHyponym-of Arg1:T1 Arg2:T2\n",
+        encoding="utf-8",
+    )
+    corpus, _ = load_corpus(d)
+
+    save_corpus(oracle_predict(corpus), tmp_path / "lib-oracle")
+    assert run_cli(["baseline", "--kind", "oracle", "--in", str(d),
+                    "--out", str(tmp_path / "cli-oracle")]) == 0
+    assert _dir_bytes(tmp_path / "lib-oracle") == _dir_bytes(tmp_path / "cli-oracle")
+
+    save_corpus(corpus, tmp_path / "saved")
+    assert (tmp_path / "saved" / "a.ann").read_text(encoding="utf-8") == (
+        "T1\tMaterial 0 14\tGraphene oxide\n"
+        "T2\tMaterial 19 34\tgraphene sheets\n"
+        "T3\tProcess 43 47\theat\n"
+        "*\tSynonym-of T1 T2\n"
+        "R1\tHyponym-of Arg1:T2 Arg2:T1\n"
+    )
+
+    seq, ann = tmp_path / "seq", tmp_path / "ann"
+    assert run_cli(["convert", "--to", "seq", "--in", str(d), "--out", str(seq)]) == 0
+    assert run_cli(["convert", "--to", "ann", "--in", str(seq), "--out", str(ann)]) == 0
+    capsys.readouterr()
+    assert run_cli(["score", "--scenario", "1", "--gold", str(d), "--pred", str(ann),
+                    "--json"]) == 0
+    assert capsys.readouterr().out == report_to_json(roundtrip_report(corpus))
+
+
 def test_crlf_text_keeps_its_offsets(tmp_path, capsys):
     d = tmp_path / "crlf"
     d.mkdir()
@@ -898,8 +957,15 @@ def test_existing_output_is_refused_after_the_diagnostics(
 
 
 @pytest.mark.parametrize("out_parts", [["out"], ["new", "deeper", "out"]])
-def test_seq_without_its_text_leaves_no_output(seq_dir, tmp_path, capsys, out_parts):
+def test_seq_without_its_text_leaves_no_output(
+    seq_dir, tmp_path, capsys, monkeypatch, out_parts
+):
     (seq_dir / "doc1.txt").unlink()
+
+    def read_nothing(*args):
+        raise AssertionError("a .seq file was read before every .txt was found")
+
+    monkeypatch.setattr(codec, "sequences_from_tsv", read_nothing)
     out = tmp_path.joinpath(*out_parts)
     capsys.readouterr()
     assert run_cli(["convert", "--to", "ann", "--in", str(seq_dir), "--out", str(out)]) == 2
