@@ -39,7 +39,6 @@ from .model import (
     SURFACE_MISMATCH,
     ValidationReport,
     _walk,
-    canonical_form,
     is_canonical,
 )
 
@@ -177,8 +176,9 @@ def parse_document_pair(
     the text slice at its offsets; a surface column equal to neither the slice
     nor its flattened form is a SURFACE_MISMATCH error.  The document is walked
     once: the report carries the validate_document output of the document as
-    written, and the document comes back stripped as by drop_invalid, each
-    removal in `report.dropped`, and then in canonical form.
+    written, and the document comes back as the canonical form of what is left
+    once each annotation that breaks an error rule is stripped, with each
+    removal in `report.dropped`.
     """
     report = ValidationReport()
     text = text.removeprefix("\ufeff")
@@ -213,7 +213,7 @@ def parse_document_pair(
     doc_report, doc, dropped = _walk(doc)
     report.extend(doc_report)
     report.dropped.extend((doc_id, message) for message in dropped)
-    return canonical_form(doc), report
+    return doc, report
 
 
 def serialize_annotations(doc: Document) -> str:

@@ -70,8 +70,8 @@ class Keyphrase(NamedTuple):
     def sort_key(self) -> tuple:
         # `_value_` is the member's plain attribute.  `value` runs the enum's
         # Python-level descriptor, a cost on every key of every sort; the
-        # per-item loops of `_walk`, `canonical_form` and
-        # `brat.serialize_annotations` read `_value_` for the same reason.
+        # per-item loops of `_walk` and `brat.serialize_annotations` read
+        # `_value_` for the same reason.
         return (self.start, self.end, self.ktype._value_)
 
 
@@ -142,14 +142,19 @@ DUPLICATE_SPAN = "DUPLICATE_SPAN"
 
 
 def _walk(doc: Document) -> tuple[ValidationReport, Document, list[str]]:
-    """Apply every invariant rule to every annotation of `doc`, once.
+    """Apply every invariant rule to every annotation of `doc`, once, and put
+    what is left in canonical form.
 
-    Returns the validation report, the document stripped of each annotation
-    that breaks an error rule, and one message per stripped annotation.  The
-    two views resolve ids differently: the report resolves an id to its first
-    definition, valid or not, while the stripped document keeps the first
-    valid keyphrase of each id, so a relation whose argument was stripped is
-    stripped as dangling.
+    Returns the validation report, the canonical form of the document
+    stripped of each annotation that breaks an error rule, and one message
+    per stripped annotation.  The two views resolve ids differently: the
+    report resolves an id to its first definition, valid or not, while the
+    canonical form keeps the first valid keyphrase of each id, so a relation
+    whose argument was stripped is stripped as dangling.  A relation that
+    repeats a kept one (the same `relation_key`) is merged into it and warns
+    nothing.  Nothing already canonical is rebuilt: a keyphrase whose id is
+    already its canonical id, and a relation whose arguments are, come back
+    as the same objects.
     """
     report = ValidationReport()
     dropped: list[str] = []
@@ -158,9 +163,11 @@ def _walk(doc: Document) -> tuple[ValidationReport, Document, list[str]]:
     # The first valid keyphrase of each id: the same dict as `seen_ids` until
     # an invalid keyphrase defines a new id, and a copy from then on.
     kept = seen_ids
-    seen_spans: set[tuple[int, int, str]] = set()  # sort keys, which hash no enum
+    # Each sort key, which hashes no enum, to the first kept keyphrase with
+    # it, or to None while only stripped keyphrases have it.
+    by_key: dict[tuple[int, int, str], Keyphrase | None] = {}
     for kp in doc.keyphrases:
-        drop = None  # why drop_invalid strips this keyphrase, if it does
+        drop = None  # why the walk strips this keyphrase, if it does
         if not (0 <= kp.start < kp.end <= n):
             drop = "span out of bounds"
             report.error(
@@ -189,46 +196,80 @@ def _walk(doc: Document) -> tuple[ValidationReport, Document, list[str]]:
         else:
             dropped.append(f"keyphrase {kp.id}: {drop}")
         key = kp.sort_key()
-        if key in seen_spans:
+        if key in by_key:
             report.warn(
                 doc.doc_id,
                 DUPLICATE_SPAN,
                 f"{kp.id}: duplicates span ({kp.start}, {kp.end}, {kp.ktype._value_})",
             )
-        seen_spans.add(key)
+            if drop is None and by_key[key] is None:
+                by_key[key] = kp
+        else:
+            by_key[key] = kp if drop is None else None
 
-    relations: list[Relation] = []
+    keys = sorted([key for key, kp in by_key.items() if kp is not None])
+    keyphrases: list[Keyphrase] = []
+    for i, key in enumerate(keys, 1):
+        kp = by_key[key]
+        kid = f"T{i}"
+        if kp.id != kid:
+            kp = Keyphrase(kid, kp.ktype, kp.start, kp.end, kp.surface)
+        keyphrases.append(kp)
+    # Only relations need the number of each key, so a document without any
+    # (every gazetteer prediction) builds no such map.
+    number = {key: i for i, key in enumerate(keys, 1)} if doc.relations else {}
+
+    # Each kept relation's `relation_key` to the first kept relation with it;
+    # the key determines the relation, so sorting the keys orders the
+    # relations independently of the hash seed.
+    relations: dict[tuple[str, int, int], Relation] = {}
     for rel in doc.relations:
         if rel.arg1 == rel.arg2:
-            drop = "self-relation"
             report.error(
                 doc.doc_id, SELF_RELATION, f"{rel.rtype._value_} relates {rel.arg1} to itself"
             )
+            dropped.append(f"{rel.rtype._value_}({rel.arg1}, {rel.arg2}): self-relation")
+            continue
+        dangling = [a for a in (rel.arg1, rel.arg2) if a not in seen_ids]
+        if dangling:
+            report.error(
+                doc.doc_id,
+                DANGLING_ARGUMENT,
+                f"{rel.rtype._value_}({rel.arg1}, {rel.arg2}): no keyphrase "
+                + ", ".join(dangling),
+            )
+        if rel.arg1 in kept and rel.arg2 in kept:
+            key = relation_key(
+                rel.rtype, number[kept[rel.arg1].sort_key()], number[kept[rel.arg2].sort_key()]
+            )
+            if key in relations:
+                continue  # a repeat, merged into the relation that warned for it
+            relations[key] = rel
         else:
-            drop = None if rel.arg1 in kept and rel.arg2 in kept else "dangling argument"
-            dangling = [a for a in (rel.arg1, rel.arg2) if a not in seen_ids]
-            if dangling:
-                report.error(
+            dropped.append(f"{rel.rtype._value_}({rel.arg1}, {rel.arg2}): dangling argument")
+        if not dangling:
+            k1, k2 = seen_ids[rel.arg1], seen_ids[rel.arg2]
+            if k1.ktype != k2.ktype:
+                report.warn(
                     doc.doc_id,
-                    DANGLING_ARGUMENT,
-                    f"{rel.rtype._value_}({rel.arg1}, {rel.arg2}): no keyphrase "
-                    + ", ".join(dangling),
+                    CROSS_TYPE_RELATION,
+                    f"{rel.rtype._value_}({rel.arg1}, {rel.arg2}) links "
+                    f"{k1.ktype._value_} to {k2.ktype._value_}",
                 )
-            else:
-                k1, k2 = seen_ids[rel.arg1], seen_ids[rel.arg2]
-                if k1.ktype != k2.ktype:
-                    report.warn(
-                        doc.doc_id,
-                        CROSS_TYPE_RELATION,
-                        f"{rel.rtype._value_}({rel.arg1}, {rel.arg2}) links "
-                        f"{k1.ktype._value_} to {k2.ktype._value_}",
-                    )
-        if drop is None:
-            relations.append(rel)
-        else:
-            dropped.append(f"{rel.rtype._value_}({rel.arg1}, {rel.arg2}): {drop}")
-    if dropped:
-        doc = Document(doc.doc_id, doc.text, tuple(kept.values()), tuple(relations))
+
+    canonical: list[Relation] = []
+    for key in sorted(relations):
+        _, n1, n2 = key
+        if n1 == n2:
+            # Both arguments merged into one keyphrase; the relation degenerates.
+            continue
+        rel = relations[key]
+        # Share the keyphrases' id strings rather than format new ones.
+        a1, a2 = keyphrases[n1 - 1].id, keyphrases[n2 - 1].id
+        if (rel.arg1, rel.arg2) != (a1, a2):
+            rel = Relation(rel.rtype, a1, a2)
+        canonical.append(rel)
+    doc = Document(doc.doc_id, doc.text, tuple(keyphrases), tuple(canonical))
     return report, doc, dropped
 
 
@@ -239,7 +280,9 @@ def validate_document(doc: Document) -> ValidationReport:
     ids, relation arguments that do not resolve, self-relations.  Warnings:
     relations whose two arguments have different keyphrase types (annotation
     guidelines restrict relations to same-type mentions, but predictions may
-    not), and exactly duplicated (start, end, type) keyphrases.
+    not), and exactly duplicated (start, end, type) keyphrases.  A cross-type
+    relation warns once: a repeat of a relation that is kept, the same pair
+    written again or, for Synonym-of, either way round, warns nothing more.
     """
     return _walk(doc)[0]
 
@@ -254,70 +297,14 @@ def canonicalize_document(doc: Document) -> Document:
     fixed point: canonicalizing twice equals canonicalizing once.  Raises
     ValueError, naming the first error, for a document that does not validate.
     """
-    report = validate_document(doc)
+    report, canon, _ = _walk(doc)
     if not report.ok:
         first = report.errors[0]
         raise ValueError(
             f"cannot canonicalize {doc.doc_id}: {len(report.errors)} validation "
             f"error(s), first: [{first[1]}] {first[2]}"
         )
-    return canonical_form(doc)
-
-
-def canonical_form(doc: Document) -> Document:
-    """`canonicalize_document` for a document known to validate, unchecked.
-
-    For callers that hold a document already checked: one that `_walk` has
-    stripped, as `brat.parse_document_pair` does before it returns this
-    form, or one that `validate_document` passed.  What the loaders return
-    is already canonical.  An invalid document gives undefined results.
-    Nothing already canonical is rebuilt: a keyphrase whose id is already its
-    canonical id, and a relation whose arguments are, come back as the same
-    objects, so a canonical document costs one pass and no copies.
-    """
-    # Merge duplicate spans, keeping one representative per sort key.
-    merged: dict[tuple, Keyphrase] = {}
-    for kp in doc.keyphrases:
-        merged.setdefault(kp.sort_key(), kp)
-
-    keys = sorted(merged)
-    keyphrases: list[Keyphrase] = []
-    for i, key in enumerate(keys, 1):
-        kp = merged[key]
-        kid = f"T{i}"
-        if kp.id != kid:
-            kp = Keyphrase(kid, kp.ktype, kp.start, kp.end, kp.surface)
-        keyphrases.append(kp)
-
-    # Only relations need the number of each id, so a document without any
-    # (every gazetteer prediction) builds no map of its ids.
-    number: dict[str, int] = {}  # keyphrase id -> i of the canonical Ti
-    if doc.relations:
-        number_of_key = {key: i for i, key in enumerate(keys, 1)}
-        number = {kp.id: number_of_key[kp.sort_key()] for kp in doc.keyphrases}
-
-    # Keyed by `relation_key`, which determines the relation, so sorting the
-    # keys orders the relations independently of the hash seed.
-    relations: dict[tuple, Relation] = {}
-    for rel in doc.relations:
-        n1 = number[rel.arg1]
-        n2 = number[rel.arg2]
-        if n1 == n2:
-            # Both arguments merged into one keyphrase; the relation degenerates.
-            continue
-        key = relation_key(rel.rtype, n1, n2)
-        if key not in relations:
-            # Share the keyphrases' id strings rather than format new ones.
-            a1, a2 = keyphrases[key[1] - 1].id, keyphrases[key[2] - 1].id
-            if (rel.arg1, rel.arg2) != (a1, a2):
-                rel = Relation(rel.rtype, a1, a2)
-            relations[key] = rel
-    return Document(
-        doc.doc_id,
-        doc.text,
-        tuple(keyphrases),
-        tuple(relations[key] for key in sorted(relations)),
-    )
+    return canon
 
 
 def relation_key(rtype: RelationType, n1: int, n2: int) -> tuple[str, int, int]:
@@ -348,21 +335,24 @@ def relations_from_keys(
 def is_canonical(doc: Document) -> bool:
     """Whether `doc` validates and is already in canonical form, as
     `serialize_annotations` requires."""
-    return validate_document(doc).ok and canonical_form(doc) == doc
+    report, canon, _ = _walk(doc)
+    return report.ok and canon == doc
 
 
 def drop_invalid(doc: Document) -> tuple[Document, list[str]]:
-    """Strip annotations that make a document fail validation.
+    """Strip annotations that make a document fail validation, and return the
+    canonical form of what is left.
 
     Prediction files from third parties sometimes carry out-of-bounds spans or
     dangling relation arguments; those cannot be scored as items, so they are
     removed with a description of each removal.  Duplicate ids keep the first
     valid occurrence, and relations resolve to it; a relation whose argument
     was removed is removed as dangling.  Cross-type relations are warnings and
-    are kept.  A document that validates comes back unchanged.
+    are kept.  A document that validates comes back as `canonicalize_document`
+    returns it, with no removals.
     """
-    _, clean, dropped = _walk(doc)
-    return clean, dropped
+    _, canon, dropped = _walk(doc)
+    return canon, dropped
 
 
 def normalize_surface(surface: str) -> str:

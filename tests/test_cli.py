@@ -640,6 +640,32 @@ def test_score_stderr_on_invalid_corpus(tmp_path, capsys):
     assert "overall        2      1      4" in captured.out
 
 
+_CROSS_TYPE_TEXT = "Parsing text. Graphene grows. Heat flows fast."
+_CROSS_TYPE_ANN = "T1\tTask 0 7\tParsing\nT3\tProcess 14 22\tGraphene\n*\tSynonym-of T1 T3 T1\n"
+
+
+@pytest.mark.parametrize("extra, warnings", [
+    ("", ["Synonym-of(T1, T3) links Task to Process"]),
+    (
+        "T4\tTask 8 12\ttext\nR4\tSynonym-of Arg2:T3 Arg1:T4\n*\tSynonym-of T4 T3 T1\n",
+        ["Synonym-of(T1, T3) links Task to Process",
+         "Synonym-of(T4, T3) links Task to Process"],
+    ),
+], ids=["one-pair", "two-pairs"])
+def test_validate_warns_once_per_merged_cross_type_relation(tmp_path, capsys, extra, warnings):
+    # Each synonym pair is written two or three times, either way round; it
+    # is one relation once merged, so it warns once.
+    (tmp_path / "a.txt").write_text(_CROSS_TYPE_TEXT, encoding="utf-8")
+    (tmp_path / "a.ann").write_text(_CROSS_TYPE_ANN + extra, encoding="utf-8")
+    assert run_cli(["validate", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "ERROR   [SELF_RELATION] a: Synonym-of relates T1 to itself",
+        *[f"WARNING [CROSS_TYPE_RELATION] a: {w}" for w in warnings],
+    ]
+    assert f"warnings:  {len(warnings)}\n" in captured.out
+
+
 def test_stats_counts_only_what_loads(tmp_path, capsys):
     gold, _ = _invalid_corpus(tmp_path)
     assert run_cli(["stats", str(gold), "--json"]) == 1
