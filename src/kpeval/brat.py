@@ -246,18 +246,14 @@ def serialize_annotations(doc: Document) -> str:
 
 
 def read_utf8(path: Path, newline: str | None = None) -> str:
-    """Read a UTF-8 file, with `newline` as for `open`; bytes that do not
-    decode are an OSError naming it."""
+    """Read a UTF-8 file without its leading BOM, if any, with `newline` as
+    for `open` (`""` keeps "\\r\\n" as stored); bytes that do not decode are
+    an OSError naming it."""
     try:
         with path.open(encoding="utf-8", newline=newline) as f:
-            return f.read()
+            return f.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise OSError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from None
-
-
-def read_text(path: Path) -> str:
-    """A .txt file as stored, "\\r\\n" included, without a leading BOM."""
-    return read_utf8(path, newline="").removeprefix("\ufeff")
 
 
 def load_corpus(dir_path: str | Path) -> tuple[Corpus, ValidationReport]:
@@ -279,7 +275,7 @@ def load_corpus(dir_path: str | Path) -> tuple[Corpus, ValidationReport]:
         report.error(stem, MISSING_TXT, f"{stem}.ann has no matching {stem}.txt")
     documents = {}
     for stem in sorted(txt_stems & ann_stems):
-        text = read_text(dir_path / f"{stem}.txt")
+        text = read_utf8(dir_path / f"{stem}.txt", newline="")
         ann = read_utf8(dir_path / f"{stem}.ann")
         doc, doc_report = parse_document_pair(stem, text, ann)
         documents[stem] = doc
@@ -300,7 +296,9 @@ def load_predictions(dir_path: str | Path, reference: Corpus) -> tuple[Corpus, V
         raise NotADirectoryError(f"not a directory: {dir_path}")
     report = ValidationReport()
     documents = {}
-    for path in sorted(dir_path.glob("*.ann")):
+    # In doc_id order, as `load_corpus` reads; path order puts "a-b.ann"
+    # before "a.ann".  The name orders the one tie, ".ann" and ".ann.ann".
+    for path in sorted(dir_path.glob("*.ann"), key=lambda path: (path.stem, path.name)):
         if path.stem not in reference:
             report.error(path.stem, MISSING_TXT,
                          f"{path.name} has no document in the gold corpus")

@@ -118,7 +118,7 @@ def _print_report_entries(report: ValidationReport) -> None:
 
 def _print_dropped(report: ValidationReport) -> None:
     """Print on stderr what the loader stripped, in doc_id order."""
-    for doc_id, message in sorted(report.dropped, key=lambda entry: entry[0]):
+    for doc_id, message in report.dropped:
         print(f"WARNING [DROPPED] {doc_id}: {message}", file=sys.stderr)
 
 
@@ -246,7 +246,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
 
         def writer(tmp: Path) -> None:
             for path in seq_paths:
-                text = brat.read_text(path.with_suffix(".txt"))
+                text = brat.read_utf8(path.with_suffix(".txt"), newline="")
                 try:
                     sequences = codec.sequences_from_tsv(brat.read_utf8(path), path.name, text)
                     doc = codec.decode_document(sequences, text, path.stem)

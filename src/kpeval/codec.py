@@ -24,10 +24,12 @@ Sentence and token rules are deliberately simple and fully deterministic:
 
 Encoding is linear in document length up to logarithmic factors.  Each
 keyphrase is placed with one bisection over the sentence starts and two over
-the tokens of its sentence; no per-token index is built.  A document of T
-tokens, K keyphrases and R relations costs O(T + K log T + K log K + R), plus
-one step per token of each placed span.  Sentence splitting is linear in the
-text.
+the tokens of its sentence; no per-token index is built.  The label rows
+decide overlaps: the placed spans are visited longest first, and a span whose
+tokens are not all still O drops, so no other record of taken tokens is kept.
+A document of T tokens, K keyphrases and R relations costs
+O(T + K log T + K log K + R), plus one step per token of each placed span.
+Sentence splitting is linear in the text.
 
 All functions are pure.
 """
@@ -66,8 +68,11 @@ CELL_CONFLICT = "CELL_CONFLICT"
 # `_value_` reads without the enum's Python-level `value` descriptor.
 _LETTER = {t._value_: t._value_[0] for t in KeyphraseType}
 
+# A break, with the first non-space character after its whitespace run as
+# group 1.  That run ends before the next break starts, so the lookaheads scan
+# disjoint stretches of the text and splitting stays linear.
 _SENTENCE_BREAK = re.compile(
-    r"[.!?][\)\]\}\"'’”]*(?=\s)"
+    r"[.!?][\)\]\}\"'’”]*(?=\s+(\S))"
 )
 
 # A word token: alphanumeric runs joined by internal -, _, ., ', + .
@@ -113,15 +118,10 @@ class AlignmentOutcome:
     `dropped_relations`.
     """
 
-    def __init__(
-        self,
-        aligned: dict[str, tuple[int, tuple[int, int]]] | None = None,
-        dropped_spans: list[tuple[str, str]] | None = None,
-        dropped_relations: list[tuple[Relation, str]] | None = None,
-    ) -> None:
-        self.aligned = {} if aligned is None else aligned
-        self.dropped_spans = [] if dropped_spans is None else dropped_spans
-        self.dropped_relations = [] if dropped_relations is None else dropped_relations
+    def __init__(self) -> None:
+        self.aligned: dict[str, tuple[int, tuple[int, int]]] = {}
+        self.dropped_spans: list[tuple[str, str]] = []
+        self.dropped_relations: list[tuple[Relation, str]] = []
 
 
 def split_sentences(text: str) -> list[tuple[int, int]]:
@@ -132,16 +132,11 @@ def split_sentences(text: str) -> list[tuple[int, int]]:
     the original text is recoverable.  Empty or all-whitespace text yields
     no sentences.
     """
-    boundaries = []
-    n = len(text)
-    for m in _SENTENCE_BREAK.finditer(text):
-        # The whitespace run after a break ends before the next break starts,
-        # so these scans are disjoint and the whole loop is linear.
-        i = m.end()
-        while i < n and text[i].isspace():
-            i += 1
-        if i < n and (text[i].isupper() or text[i].isdigit()):
-            boundaries.append(m.end())
+    boundaries = [
+        m.end()
+        for m in _SENTENCE_BREAK.finditer(text)
+        if m.group(1).isupper() or m.group(1).isdigit()
+    ]
     spans = []
     prev = 0
     for b in boundaries + [len(text)]:
@@ -156,11 +151,9 @@ def split_sentences(text: str) -> list[tuple[int, int]]:
 
 def tokenize(text: str, sentence: tuple[int, int]) -> list[Token]:
     """Deterministic offset-preserving tokens for one sentence span."""
-    start, end = sentence
-    return [
-        Token(start + m.start(), start + m.end(), m.group())
-        for m in _TOKEN.finditer(text[start:end])
-    ]
+    # The pattern has no anchor or lookbehind, so matching inside the bounds
+    # equals matching the slice.
+    return [Token(m.start(), m.end(), m.group()) for m in _TOKEN.finditer(text, *sentence)]
 
 
 def tokenize_document(text: str) -> list[SentenceTokenization]:
@@ -220,8 +213,11 @@ def encode_document(
     expanded outward to enclosing token boundaries instead of being dropped.
     When two surviving keyphrases claim the same token, the longer span wins
     and the loser drops with reason OVERLAP (the BIO scheme cannot express
-    overlap).  A relation grid cell already claimed by an earlier relation
-    drops the later relation with reason CELL_CONFLICT.
+    overlap); ties go to the earlier sentence, then the earlier first token,
+    then the Material > Process > Task priority, then the id.  Spans are
+    written to the label rows in that order, and a span drops when any of its
+    boundary labels is already set.  A relation grid cell already claimed by
+    an earlier relation drops the later relation with reason CELL_CONFLICT.
     """
     tokenizations = tokenize_document(doc.text)
     sentence_starts = [sent.sentence_start for sent in tokenizations]
@@ -234,7 +230,31 @@ def encode_document(
         else:
             outcome.aligned[kp.id] = placed
 
-    _resolve_overlaps(by_id, outcome)
+    order = sorted(
+        outcome.aligned.items(),
+        key=lambda item: (
+            -(item[1][1][1] - item[1][1][0]),
+            item[1][0],
+            item[1][1][0],
+            TYPE_PRIORITY.index(by_id[item[0]].ktype),
+            item[0],
+        ),
+    )
+    labels_a = [["O"] * len(sent.tokens) for sent in tokenizations]
+    labels_b = [["O"] * len(sent.tokens) for sent in tokenizations]
+    for kp_id, (s_idx, (first, last)) in order:
+        row = labels_a[s_idx]
+        if any(label != "O" for label in row[first:last]):
+            del outcome.aligned[kp_id]
+            outcome.dropped_spans.append((kp_id, OVERLAP))
+            continue
+        row[first:last] = ["B"] + ["I"] * (last - first - 1)
+        labels_b[s_idx][first:last] = [_LETTER[by_id[kp_id].ktype._value_]] * (last - first)
+    sequences = [
+        LabeledSequence(sent, tuple(a), tuple(b), {})
+        for sent, a, b in zip(tokenizations, labels_a, labels_b)
+    ]
+
     encodable: list[Relation] = []
     for rel in doc.relations:
         a1 = outcome.aligned.get(rel.arg1)
@@ -245,17 +265,6 @@ def encode_document(
             outcome.dropped_relations.append((rel, CROSS_SENTENCE_RELATION))
         else:
             encodable.append(rel)
-
-    # Aligned spans no longer overlap, so each label is written at most once.
-    labels_a = [["O"] * len(sent.tokens) for sent in tokenizations]
-    labels_b = [["O"] * len(sent.tokens) for sent in tokenizations]
-    for kp_id, (s_idx, (first, last)) in outcome.aligned.items():
-        labels_a[s_idx][first:last] = ["B"] + ["I"] * (last - first - 1)
-        labels_b[s_idx][first:last] = [_LETTER[by_id[kp_id].ktype._value_]] * (last - first)
-    sequences = [
-        LabeledSequence(sent, tuple(a), tuple(b), {})
-        for sent, a, b in zip(tokenizations, labels_a, labels_b)
-    ]
 
     for rel in encodable:
         s_idx, (h1, _) = outcome.aligned[rel.arg1]
@@ -270,30 +279,6 @@ def encode_document(
             continue
         cells.update(wanted)
     return sequences, outcome
-
-
-def _resolve_overlaps(
-    by_id: dict[str, Keyphrase], outcome: AlignmentOutcome
-) -> None:
-    """Longer span wins contested tokens; deterministic tie-break."""
-    order = sorted(
-        outcome.aligned.items(),
-        key=lambda item: (
-            -(item[1][1][1] - item[1][1][0]),
-            item[1][0],
-            item[1][1][0],
-            TYPE_PRIORITY.index(by_id[item[0]].ktype),
-            item[0],
-        ),
-    )
-    claimed: set[tuple[int, int]] = set()
-    for kp_id, (s_idx, (first, last)) in order:
-        tokens = {(s_idx, i) for i in range(first, last)}
-        if tokens & claimed:
-            del outcome.aligned[kp_id]
-            outcome.dropped_spans.append((kp_id, OVERLAP))
-        else:
-            claimed |= tokens
 
 
 def decode_document(
@@ -331,24 +316,20 @@ def decode_document(
     for s_idx, seq in enumerate(sequences):
         tokens = seq.tokenization.tokens
         runs: list[tuple[int, int]] = []
-        start_i: int | None = None
-        prev = "O"
+        start_i: int | None = None  # the first token of the open run
         for i, label in enumerate(seq.labels_a):
-            if label == "B" or (label == "I" and prev == "O"):
+            if label == "B" or (label == "I" and start_i is None):
                 if label == "I":
                     note(f"sentence {s_idx}: I after O at token {i} promoted to B")
                 if start_i is not None:
                     runs.append((start_i, i))
                 start_i = i
-            elif label == "I":
-                pass  # continues the open run
-            else:
+            elif label != "I":
                 if label != "O":
                     note(f"sentence {s_idx}: unknown boundary label {label!r} read as O")
                 if start_i is not None:
                     runs.append((start_i, i))
                     start_i = None
-            prev = "O" if label not in ("B", "I") else "B"
         if start_i is not None:
             runs.append((start_i, len(seq.labels_a)))
 

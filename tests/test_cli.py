@@ -556,6 +556,34 @@ def test_bom_prefixed_ann_loads_as_gold_and_as_prediction(tmp_path, capsys):
     assert captured.err == ""
 
 
+def test_bom_prefixed_seq_converts_like_the_same_file_without_it(tmp_path, capsys):
+    seq = tmp_path / "seq"
+    seq.mkdir()
+    (seq / "d1.txt").write_text("Graphene conducts heat.", encoding="utf-8")
+    (seq / "d1.seq").write_text(
+        "\ufeffGraphene\t0\t8\tB\tM\nconducts\t9\t17\tO\tO\nheat\t18\t22\tB\tP\n.\t22\t23\tO\tO\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert run_cli(["convert", "--to", "ann", "--in", str(seq), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (out / "d1.ann").read_text(encoding="utf-8") == (
+        "T1\tMaterial 0 8\tGraphene\nT2\tProcess 18 22\theat\n"
+    )
+
+
+def test_bom_prefixed_genre_map_maps_its_first_document(tmp_path, capsys):
+    gold = _two_document_corpus(tmp_path)
+    mapfile = tmp_path / "genres.tsv"
+    mapfile.write_text("\ufeffa\tphysics\nb\tcs\n", encoding="utf-8")
+    assert run_cli(["score", "--scenario", "1", "--by-genre", str(mapfile),
+                    "--gold", str(gold), "--pred", str(gold)]) == 0
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("---")] == [
+        "--- genre: cs ---", "--- genre: physics ---",
+    ]
+
+
 def test_diagnostics_name_their_document(tmp_path, capsys):
     gold = _two_document_corpus(tmp_path)
     clean, dangling = tmp_path / "clean", tmp_path / "dangling"
@@ -581,7 +609,8 @@ def test_diagnostics_name_their_document(tmp_path, capsys):
 
 
 # A corpus whose gold and prediction files break every error rule.  In path
-# order "a-b.ann" sorts before "a.ann"; in doc_id order "a" comes first.
+# order "a-b.ann" sorts before "a.ann"; in doc_id order "a" comes first, and
+# both loaders report in doc_id order.
 _INVALID_TEXT = "Graphene conducts heat."
 _INVALID_GOLD = {
     "a": "T1\tMaterial 0 8\tGraphene\nT2\tProcess 9 17\tconducts\n"
@@ -621,9 +650,9 @@ def test_score_stderr_on_invalid_corpus(tmp_path, capsys):
         "ERROR   [DUPLICATE_ID] a-b: id T1 defined twice",
         "ERROR   [SELF_RELATION] a-b: Hyponym-of relates T1 to itself",
         "ERROR   [DANGLING_ARGUMENT] b: Hyponym-of(T2, T3): no keyphrase T3",
+        "ERROR   [OFFSET_OUT_OF_BOUNDS] a: T2: span (30, 35) outside text of length 23",
         "ERROR   [DUPLICATE_ID] a-b: id T1 defined twice",
         "ERROR   [DANGLING_ARGUMENT] a-b: Hyponym-of(T1, T7): no keyphrase T7",
-        "ERROR   [OFFSET_OUT_OF_BOUNDS] a: T2: span (30, 35) outside text of length 23",
         "ERROR   [SELF_RELATION] b: Hyponym-of relates T1 to itself",
         "WARNING [CROSS_TYPE_RELATION] a: Hyponym-of(T1, T2) links Material to Task",
         "WARNING [DROPPED] a: keyphrase T3: span out of bounds",
@@ -997,6 +1026,26 @@ def test_seq_without_its_text_leaves_no_output(
     assert run_cli(["convert", "--to", "ann", "--in", str(seq_dir), "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: doc1.seq has no matching .txt\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus", "seq"]
+
+
+def test_an_out_location_that_cannot_be_made_is_refused_before_any_seq_is_read(
+    tmp_path, capsys, monkeypatch
+):
+    # The --out location is made first, so its error comes alone: the
+    # malformed .seq is never read.
+    seq = tmp_path / "seq"
+    seq.mkdir()
+    (seq / "d.txt").write_text("Graphene conducts heat.", encoding="utf-8")
+    (seq / "d.seq").write_text(_OUT_OF_ORDER_SEQ, encoding="utf-8")
+    (tmp_path / "afile").write_text("mine", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["convert", "--to", "ann", "--in", "seq", "--out", "afile/out"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "afile" in err and "MALFORMED_LINE" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "seq"]
+    assert (tmp_path / "afile").read_text(encoding="utf-8") == "mine"
+    assert sorted(p.name for p in seq.iterdir()) == ["d.seq", "d.txt"]
 
 
 def test_malformed_seq_among_good_ones_writes_the_rest(seq_dir, tmp_path, capsys):

@@ -38,7 +38,6 @@ from kpeval.codec import (
     AlignmentOutcome,
     SentenceTokenization,
     Token,
-    _resolve_overlaps,
     sequences_from_tsv,
     sequences_to_tsv,
     tokenize_document,
@@ -788,6 +787,26 @@ def _reference_snap_span(start, end, tokenizations):
     return (hits[0][0], (hits[0][1], hits[-1][1] + 1))
 
 
+def _reference_resolve_overlaps(by_id, outcome):
+    """Walk the placed spans longest first (then by sentence, first token,
+    type priority and id) and keep each one whose token range intersects no
+    range kept before it in its sentence."""
+
+    def priority(kp_id):
+        s_idx, (first, last) = outcome.aligned[kp_id]
+        return (first - last, s_idx, first, TYPE_PRIORITY.index(by_id[kp_id].ktype), kp_id)
+
+    kept = []
+    for kp_id in sorted(outcome.aligned, key=priority):
+        s_idx, (first, last) = outcome.aligned[kp_id]
+        if any(s == s_idx and f < last and first < l for s, f, l in kept):
+            outcome.dropped_spans.append((kp_id, OVERLAP))
+        else:
+            kept.append((s_idx, first, last))
+    dropped = {kp_id for kp_id, why in outcome.dropped_spans if why == OVERLAP}
+    outcome.aligned = {k: v for k, v in outcome.aligned.items() if k not in dropped}
+
+
 def _reference_encode(doc, snap):
     tokenizations = _reference_tokenize_document(doc.text)
     outcome = AlignmentOutcome()
@@ -800,7 +819,7 @@ def _reference_encode(doc, snap):
             outcome.dropped_spans.append((kp.id, placed))
         else:
             outcome.aligned[kp.id] = placed
-    _resolve_overlaps(by_id, outcome)
+    _reference_resolve_overlaps(by_id, outcome)
     for rel in doc.relations:
         a1 = outcome.aligned.get(rel.arg1)
         a2 = outcome.aligned.get(rel.arg2)
