@@ -1,4 +1,4 @@
-"""Rewrite the golden records of the codec commands.
+"""Rewrite the golden records of the codec and baseline commands.
 
 The inputs next to this script are a small hand-written corpus:
 
@@ -48,6 +48,17 @@ FORMS = {
     "baseline-random": [
         "baseline", "--kind", "random", "--scenario", "1", "--seed", "3",
         "--in", "corpus", "--out", "out",
+    ],
+    "baseline-random-s2": [
+        "baseline", "--kind", "random", "--scenario", "2", "--seed", "3",
+        "--in", "corpus", "--out", "out",
+    ],
+    "baseline-random-s3": [
+        "baseline", "--kind", "random", "--scenario", "3", "--seed", "3",
+        "--in", "corpus", "--out", "out",
+    ],
+    "baseline-gazetteer": [
+        "baseline", "--kind", "gazetteer", "--in", "corpus", "--train", "b", "--out", "out",
     ],
     "agreement-token-a": ["agreement", "--a", "corpus", "--b", "b", "--json"],
     "agreement-token-b": [
