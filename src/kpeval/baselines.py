@@ -38,10 +38,41 @@ from .model import (
 )
 from .scoring import Scenario, ScoreReport, score_scenario
 
-_BOUNDARY_LABELS = ("O", "B", "I")
-_TYPE_LABELS = ("O", "M", "P", "T")
-_SPAN_TYPE_LABELS = ("M", "P", "T")
-_CELL_LABELS = ("O", "S", "H")
+
+def _drawer(labels: str) -> Callable[[random.Random, int], str]:
+    """`draw(rng, m)`: the labels of `m` successive `rng.choice(labels)`
+    calls, as one string, leaving `rng` in the state those calls leave.
+
+    `choice` draws `r = rng.getrandbits(k)` for k = len(labels).bit_length(),
+    and again while r >= len(labels).  For k <= 32 that is the top k bits of
+    one 32-bit output of the generator, and `getrandbits(32 * m)` holds the
+    next m outputs, the first in its lowest bits.  With fewer than 256
+    labels, k <= 8, so the top byte of each output decides one draw:
+    `bytes.translate` deletes the rejected bytes and maps the rest to their
+    labels.  Each round draws one output per draw still missing, and every
+    output yields at most one draw, so no output is drawn that the `choice`
+    calls would not draw.
+    """
+    n = len(labels)
+    shift = 8 - n.bit_length()
+    table = bytes(ord(labels[b >> shift]) if b >> shift < n else 0 for b in range(256))
+    rejected = bytes(b for b in range(256) if b >> shift >= n)
+
+    def draw(rng: random.Random, m: int) -> str:
+        drawn = b""
+        while len(drawn) < m:
+            missing = m - len(drawn)
+            outputs = rng.getrandbits(32 * missing).to_bytes(4 * missing, "little")
+            drawn += outputs[3::4].translate(table, rejected)
+        return drawn.decode("ascii")
+
+    return draw
+
+
+_draw_boundary = _drawer("OBI")
+_draw_type = _drawer("OMPT")
+_draw_span_type = _drawer("MPT")
+_draw_cell = _drawer("OSH")
 
 
 class BaselineKind(enum.Enum):
@@ -79,9 +110,12 @@ def random_predict(texts: Corpus, scenario: Scenario, seed: int) -> Corpus:
 
     Scenario 1 draws boundary and type labels for every token; scenario 2
     keeps the given boundaries and draws one type per span; scenario 3 keeps
-    boundaries and types.  Relation grid cells are drawn uniformly over
-    {O, S, H} for every ordered pair of span head tokens in all scenarios.
-    The output is fully determined by (seed, doc_id).
+    boundaries and types.  In all three scenarios a relation cell is drawn
+    uniformly over {O, S, H} for every ordered pair of head tokens in a
+    sentence; an S both ways round is one Synonym-of, so there are about 11
+    relations per 18 ordered pairs.  Draws are made in token order and equal
+    those of `random.Random(f"{seed}\\x1f{doc_id}").choice`, so the output
+    is fully determined by (seed, doc_id).
     """
     return Corpus({doc.doc_id: _random_document(doc, scenario, seed) for doc in texts})
 
@@ -100,8 +134,8 @@ def _random_sequences(doc: Document, rng: random.Random) -> list[LabeledSequence
     sequences = []
     for sent in tokenize_document(doc.text):
         n = len(sent.tokens)
-        labels_a = [rng.choice(_BOUNDARY_LABELS) for _ in range(n)]
-        labels_b = [rng.choice(_TYPE_LABELS) for _ in range(n)]
+        labels_a = _draw_boundary(rng, n)
+        labels_b = _draw_type(rng, n)
         # Heads after the I-after-O repair: every (O|start)->I becomes a B.
         heads = [
             i
@@ -116,28 +150,29 @@ def _random_sequences(doc: Document, rng: random.Random) -> list[LabeledSequence
 
 
 def _redraw(seq: LabeledSequence, scenario: Scenario, rng: random.Random) -> LabeledSequence:
-    labels_b = list(seq.labels_b)
+    heads = [i for i, a in enumerate(seq.labels_a) if a == "B"]
+    labels_b = seq.labels_b
     if scenario is Scenario.S2:
+        letters = iter(_draw_span_type(rng, len(heads)))
+        labels_b = list(labels_b)
         letter = "M"
         for i, a in enumerate(seq.labels_a):
             if a == "B":
-                letter = rng.choice(_SPAN_TYPE_LABELS)
+                letter = next(letters)
             if a != "O":
                 labels_b[i] = letter
-    heads = [i for i, a in enumerate(seq.labels_a) if a == "B"]
+        labels_b = tuple(labels_b)
     cells = _random_cells(heads, rng)
-    return LabeledSequence(seq.tokenization, seq.labels_a, tuple(labels_b), cells)
+    return LabeledSequence(seq.tokenization, seq.labels_a, labels_b, cells)
 
 
 def _random_cells(heads: list[int], rng: random.Random) -> dict[tuple[int, int], str]:
-    cells = {}
-    for i in heads:
-        for j in heads:
-            if i != j:
-                value = rng.choice(_CELL_LABELS)
-                if value != "O":
-                    cells[(i, j)] = value
-    return cells
+    pairs = [(i, j) for i in heads for j in heads if i != j]
+    return {
+        pair: value
+        for pair, value in zip(pairs, _draw_cell(rng, len(pairs)))
+        if value != "O"
+    }
 
 
 class Gazetteer:

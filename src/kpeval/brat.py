@@ -227,22 +227,25 @@ def serialize_annotations(doc: Document) -> str:
     if not is_canonical(doc):
         raise ValueError(f"document {doc.doc_id} is not canonical; "
                          "run canonicalize_document first")
+    # Surfaces are slices of the text, as the guard has just checked, so only
+    # a text holding a tab or a line break can give one to flatten.
+    text = doc.text
+    flatten = "\t" in text or "\n" in text or "\r" in text
     lines = [
         f"{kp.id}\t{kp.ktype._value_} {kp.start} {kp.end}\t"
-        f"{kp.surface.translate(_FLATTEN)}\n"
+        f"{kp.surface.translate(_FLATTEN) if flatten else kp.surface}\n"
         for kp in doc.keyphrases
     ]
-    lines += [
-        f"*\t{rel.rtype._value_} {rel.arg1} {rel.arg2}\n"
-        for rel in doc.relations
-        if rel.rtype is RelationType.SYNONYM_OF
-    ]
-    hyponyms = [rel for rel in doc.relations if rel.rtype is RelationType.HYPONYM_OF]
-    lines += [
-        f"R{r}\t{rel.rtype._value_} Arg1:{rel.arg1} Arg2:{rel.arg2}\n"
-        for r, rel in enumerate(hyponyms, 1)
-    ]
-    return "".join(lines)
+    # Synonym lines come first, though canonical order puts them last.  The
+    # member is read once, as in `codec.decode_document`.
+    synonym_of = RelationType.SYNONYM_OF
+    hyponyms: list[str] = []
+    for rel in doc.relations:
+        if rel.rtype is synonym_of:
+            lines.append(f"*\tSynonym-of {rel.arg1} {rel.arg2}\n")
+        else:
+            hyponyms.append(f"R{len(hyponyms) + 1}\tHyponym-of Arg1:{rel.arg1} Arg2:{rel.arg2}\n")
+    return "".join(lines) + "".join(hyponyms)
 
 
 def read_utf8(path: Path, newline: str | None = None) -> str:
@@ -256,6 +259,12 @@ def read_utf8(path: Path, newline: str | None = None) -> str:
         raise OSError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from None
 
 
+def doc_id_of(path: Path) -> str:
+    """The name of `path` without its last suffix: `Path.stem` keeps the
+    whole name of a hidden file, so that `.txt` would pair with `.txt.ann`."""
+    return path.name.rpartition(".")[0]
+
+
 def load_corpus(dir_path: str | Path) -> tuple[Corpus, ValidationReport]:
     """Load every `<stem>.txt` + `<stem>.ann` pair from a directory.
 
@@ -267,8 +276,8 @@ def load_corpus(dir_path: str | Path) -> tuple[Corpus, ValidationReport]:
     if not dir_path.is_dir():
         raise NotADirectoryError(f"not a directory: {dir_path}")
     report = ValidationReport()
-    txt_stems = {p.stem for p in dir_path.glob("*.txt")}
-    ann_stems = {p.stem for p in dir_path.glob("*.ann")}
+    txt_stems = {doc_id_of(p) for p in dir_path.glob("*.txt")}
+    ann_stems = {doc_id_of(p) for p in dir_path.glob("*.ann")}
     for stem in sorted(txt_stems - ann_stems):
         report.error(stem, MISSING_ANN, f"{stem}.txt has no matching {stem}.ann")
     for stem in sorted(ann_stems - txt_stems):
@@ -297,15 +306,15 @@ def load_predictions(dir_path: str | Path, reference: Corpus) -> tuple[Corpus, V
     report = ValidationReport()
     documents = {}
     # In doc_id order, as `load_corpus` reads; path order puts "a-b.ann"
-    # before "a.ann".  The name orders the one tie, ".ann" and ".ann.ann".
-    for path in sorted(dir_path.glob("*.ann"), key=lambda path: (path.stem, path.name)):
-        if path.stem not in reference:
-            report.error(path.stem, MISSING_TXT,
+    # before "a.ann".
+    for doc_id, path in sorted((doc_id_of(path), path) for path in dir_path.glob("*.ann")):
+        if doc_id not in reference:
+            report.error(doc_id, MISSING_TXT,
                          f"{path.name} has no document in the gold corpus")
             continue
-        text = reference[path.stem].text
-        doc, doc_report = parse_document_pair(path.stem, text, read_utf8(path))
-        documents[path.stem] = doc
+        text = reference[doc_id].text
+        doc, doc_report = parse_document_pair(doc_id, text, read_utf8(path))
+        documents[doc_id] = doc
         report.extend(doc_report)
     for doc_id in reference.doc_ids():
         documents.setdefault(doc_id, Document(doc_id, reference[doc_id].text))

@@ -240,18 +240,19 @@ def cmd_convert(args: argparse.Namespace) -> int:
         if not seq_paths:
             return _usage_error(f"no .seq files in {args.in_dir}")
         for path in seq_paths:
-            if not path.with_suffix(".txt").exists():
+            if not path.with_name(f"{brat.doc_id_of(path)}.txt").exists():
                 return _usage_error(f"{path.name} has no matching .txt")
         report = brat.ValidationReport()
 
         def writer(tmp: Path) -> None:
             for path in seq_paths:
-                text = brat.read_utf8(path.with_suffix(".txt"), newline="")
+                doc_id = brat.doc_id_of(path)
+                text = brat.read_utf8(path.with_name(f"{doc_id}.txt"), newline="")
                 try:
                     sequences = codec.sequences_from_tsv(brat.read_utf8(path), path.name, text)
-                    doc = codec.decode_document(sequences, text, path.stem)
+                    doc = codec.decode_document(sequences, text, doc_id)
                 except brat.MalformedLine as exc:
-                    report.error(path.stem, exc.code, str(exc))
+                    report.error(doc_id, exc.code, str(exc))
                     continue
                 brat._save_document(doc, tmp, write_text=True)
             _print_report_entries(report)

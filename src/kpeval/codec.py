@@ -303,11 +303,10 @@ def decode_document(
     sentences out of text order and raises ValueError for a span that is
     empty or outside `text` (tokens out of order or past the text).
     """
-
-    def note(msg: str) -> None:
-        if repairs is not None:
-            repairs.append(msg)
-
+    # Each repair is formatted only when `repairs` is given to hold it.
+    # The members are read once: through their class, before Python 3.12, a
+    # read runs the enum's Python-level lookup.
+    hyponym_of, synonym_of = RelationType.HYPONYM_OF, RelationType.SYNONYM_OF
     keyphrases: list[Keyphrase] = []
     relation_keys: list[tuple[str, int, int]] = []
     n = len(text)
@@ -319,14 +318,14 @@ def decode_document(
         start_i: int | None = None  # the first token of the open run
         for i, label in enumerate(seq.labels_a):
             if label == "B" or (label == "I" and start_i is None):
-                if label == "I":
-                    note(f"sentence {s_idx}: I after O at token {i} promoted to B")
+                if label == "I" and repairs is not None:
+                    repairs.append(f"sentence {s_idx}: I after O at token {i} promoted to B")
                 if start_i is not None:
                     runs.append((start_i, i))
                 start_i = i
             elif label != "I":
-                if label != "O":
-                    note(f"sentence {s_idx}: unknown boundary label {label!r} read as O")
+                if label != "O" and repairs is not None:
+                    repairs.append(f"sentence {s_idx}: unknown boundary label {label!r} read as O")
                 if start_i is not None:
                     runs.append((start_i, i))
                     start_i = None
@@ -336,8 +335,8 @@ def decode_document(
         head_number: dict[int, int] = {}  # head token -> i of its keyphrase Ti
         for first, last in runs:
             votes = [b for b in seq.labels_b[first:last] if b != "O"]
-            if len(votes) < last - first:
-                note(f"sentence {s_idx}: span at token {first} has O type labels")
+            if len(votes) < last - first and repairs is not None:
+                repairs.append(f"sentence {s_idx}: span at token {first} has O type labels")
             number = len(keyphrases) + 1
             head_number[first] = number
             start, end = tokens[first].start, tokens[last - 1].end
@@ -350,23 +349,24 @@ def decode_document(
         cells = seq.relations
         for (i, j), value in sorted(cells.items()):
             if i == j or i not in head_number or j not in head_number:
-                note(f"sentence {s_idx}: cell ({i}, {j}) is not a valid head pair")
+                if repairs is not None:
+                    repairs.append(f"sentence {s_idx}: cell ({i}, {j}) is not a valid head pair")
                 continue
             if value == "H":
                 relation_keys.append(
-                    relation_key(RelationType.HYPONYM_OF, head_number[i], head_number[j])
+                    relation_key(hyponym_of, head_number[i], head_number[j])
                 )
             elif value == "S":
                 mirrored = cells.get((j, i)) == "S"
                 if mirrored and j < i:
                     continue  # the same pair, already read from cell (j, i)
-                if not mirrored:
-                    note(f"sentence {s_idx}: cell ({i}, {j}) S without mirror cell")
+                if not mirrored and repairs is not None:
+                    repairs.append(f"sentence {s_idx}: cell ({i}, {j}) S without mirror cell")
                 relation_keys.append(
-                    relation_key(RelationType.SYNONYM_OF, head_number[i], head_number[j])
+                    relation_key(synonym_of, head_number[i], head_number[j])
                 )
-            else:
-                note(f"sentence {s_idx}: cell ({i}, {j}) has unknown value {value!r}")
+            elif repairs is not None:
+                repairs.append(f"sentence {s_idx}: cell ({i}, {j}) has unknown value {value!r}")
     doc = Document(
         doc_id, text, tuple(keyphrases), relations_from_keys(relation_keys, keyphrases)
     )

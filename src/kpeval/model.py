@@ -53,6 +53,9 @@ class RelationType(enum.Enum):
 
 _RELATION_BY_NAME = {t.value.casefold(): t for t in RelationType}
 _RELATION_BY_VALUE = {t.value: t for t in RelationType}
+# Before Python 3.12, reading a member through its class runs the enum's
+# Python-level lookup; `relation_key`, called once per relation, reads this.
+_SYNONYM_OF = RelationType.SYNONYM_OF
 
 
 class Keyphrase(NamedTuple):
@@ -141,7 +144,7 @@ CROSS_TYPE_RELATION = "CROSS_TYPE_RELATION"
 DUPLICATE_SPAN = "DUPLICATE_SPAN"
 
 
-def _walk(doc: Document) -> tuple[ValidationReport, Document, list[str]]:
+def _walk(doc: Document, warn: bool = True) -> tuple[ValidationReport, Document, list[str]]:
     """Apply every invariant rule to every annotation of `doc`, once, and put
     what is left in canonical form.
 
@@ -154,7 +157,8 @@ def _walk(doc: Document) -> tuple[ValidationReport, Document, list[str]]:
     repeats a kept one (the same `relation_key`) is merged into it and warns
     nothing.  Nothing already canonical is rebuilt: a keyphrase whose id is
     already its canonical id, and a relation whose arguments are, come back
-    as the same objects.
+    as the same objects.  With `warn` false the report holds errors only,
+    for callers that read nothing else, and no warning is formatted.
     """
     report = ValidationReport()
     dropped: list[str] = []
@@ -197,11 +201,12 @@ def _walk(doc: Document) -> tuple[ValidationReport, Document, list[str]]:
             dropped.append(f"keyphrase {kp.id}: {drop}")
         key = kp.sort_key()
         if key in by_key:
-            report.warn(
-                doc.doc_id,
-                DUPLICATE_SPAN,
-                f"{kp.id}: duplicates span ({kp.start}, {kp.end}, {kp.ktype._value_})",
-            )
+            if warn:
+                report.warn(
+                    doc.doc_id,
+                    DUPLICATE_SPAN,
+                    f"{kp.id}: duplicates span ({kp.start}, {kp.end}, {kp.ktype._value_})",
+                )
             if drop is None and by_key[key] is None:
                 by_key[key] = kp
         else:
@@ -215,9 +220,12 @@ def _walk(doc: Document) -> tuple[ValidationReport, Document, list[str]]:
         if kp.id != kid:
             kp = Keyphrase(kid, kp.ktype, kp.start, kp.end, kp.surface)
         keyphrases.append(kp)
-    # Only relations need the number of each key, so a document without any
-    # (every gazetteer prediction) builds no such map.
-    number = {key: i for i, key in enumerate(keys, 1)} if doc.relations else {}
+    # Only relations need the canonical number of each kept id, so a document
+    # without any (every gazetteer prediction) builds no such map.
+    kept_number: dict[str, int] = {}
+    if doc.relations:
+        number = {key: i for i, key in enumerate(keys, 1)}
+        kept_number = {kid: number[kp.sort_key()] for kid, kp in kept.items()}
 
     # Each kept relation's `relation_key` to the first kept relation with it;
     # the key determines the relation, so sorting the keys orders the
@@ -230,26 +238,29 @@ def _walk(doc: Document) -> tuple[ValidationReport, Document, list[str]]:
             )
             dropped.append(f"{rel.rtype._value_}({rel.arg1}, {rel.arg2}): self-relation")
             continue
-        dangling = [a for a in (rel.arg1, rel.arg2) if a not in seen_ids]
-        if dangling:
-            report.error(
-                doc.doc_id,
-                DANGLING_ARGUMENT,
-                f"{rel.rtype._value_}({rel.arg1}, {rel.arg2}): no keyphrase "
-                + ", ".join(dangling),
-            )
-        if rel.arg1 in kept and rel.arg2 in kept:
-            key = relation_key(
-                rel.rtype, number[kept[rel.arg1].sort_key()], number[kept[rel.arg2].sort_key()]
-            )
+        n1 = kept_number.get(rel.arg1)
+        n2 = kept_number.get(rel.arg2)
+        if n1 is not None and n2 is not None:
+            key = relation_key(rel.rtype, n1, n2)
             if key in relations:
                 continue  # a repeat, merged into the relation that warned for it
             relations[key] = rel
         else:
+            # Every kept id is in `seen_ids`, so only a relation that is not
+            # kept can name an id that nothing defines.
             dropped.append(f"{rel.rtype._value_}({rel.arg1}, {rel.arg2}): dangling argument")
-        if not dangling:
+            dangling = [a for a in (rel.arg1, rel.arg2) if a not in seen_ids]
+            if dangling:
+                report.error(
+                    doc.doc_id,
+                    DANGLING_ARGUMENT,
+                    f"{rel.rtype._value_}({rel.arg1}, {rel.arg2}): no keyphrase "
+                    + ", ".join(dangling),
+                )
+                continue
+        if warn:
             k1, k2 = seen_ids[rel.arg1], seen_ids[rel.arg2]
-            if k1.ktype != k2.ktype:
+            if k1.ktype is not k2.ktype:
                 report.warn(
                     doc.doc_id,
                     CROSS_TYPE_RELATION,
@@ -297,7 +308,7 @@ def canonicalize_document(doc: Document) -> Document:
     fixed point: canonicalizing twice equals canonicalizing once.  Raises
     ValueError, naming the first error, for a document that does not validate.
     """
-    report, canon, _ = _walk(doc)
+    report, canon, _ = _walk(doc, warn=False)
     if not report.ok:
         first = report.errors[0]
         raise ValueError(
@@ -315,7 +326,7 @@ def relation_key(rtype: RelationType, n1: int, n2: int) -> tuple[str, int, int]:
     order, so the key holds the numbers: integers compare faster than spans.
     Synonym-of is symmetric, so its lower number comes first.
     """
-    if n2 < n1 and rtype is RelationType.SYNONYM_OF:
+    if n2 < n1 and rtype is _SYNONYM_OF:
         return (rtype._value_, n2, n1)
     return (rtype._value_, n1, n2)
 
@@ -335,7 +346,7 @@ def relations_from_keys(
 def is_canonical(doc: Document) -> bool:
     """Whether `doc` validates and is already in canonical form, as
     `serialize_annotations` requires."""
-    report, canon, _ = _walk(doc)
+    report, canon, _ = _walk(doc, warn=False)
     return report.ok and canon == doc
 
 
@@ -351,7 +362,7 @@ def drop_invalid(doc: Document) -> tuple[Document, list[str]]:
     are kept.  A document that validates comes back as `canonicalize_document`
     returns it, with no removals.
     """
-    _, canon, dropped = _walk(doc)
+    _, canon, dropped = _walk(doc, warn=False)
     return canon, dropped
 
 

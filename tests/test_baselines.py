@@ -21,8 +21,8 @@ from kpeval import (
     serialize_annotations,
     validate_document,
 )
-from kpeval.baselines import normalize_surface
-from kpeval.codec import tokenize_document
+from kpeval.baselines import _random_document, normalize_surface
+from kpeval.codec import LabeledSequence, decode_document, encode_document, tokenize_document
 
 K = KeyphraseType
 R = RelationType
@@ -123,6 +123,87 @@ def test_random_subtask_a_score_is_poor():
     predicted = random_predict(corpus, Scenario.S1, seed=0)
     report = score_scenario(corpus, predicted, Scenario.S1)
     assert report.subtasks[Subtask.A].f1 < 0.10
+
+
+# The random baseline as it was first written, one `rng.choice` per label, in
+# token order.  `baselines._drawer` must consume the generator exactly as
+# these calls do, so that every seed keeps its output.
+
+_BOUNDARY_LABELS = ("O", "B", "I")
+_TYPE_LABELS = ("O", "M", "P", "T")
+_SPAN_TYPE_LABELS = ("M", "P", "T")
+_CELL_LABELS = ("O", "S", "H")
+
+
+def _reference_random_sequences(doc, rng):
+    sequences = []
+    for sent in tokenize_document(doc.text):
+        n = len(sent.tokens)
+        labels_a = [rng.choice(_BOUNDARY_LABELS) for _ in range(n)]
+        labels_b = [rng.choice(_TYPE_LABELS) for _ in range(n)]
+        heads = [
+            i
+            for i, a in enumerate(labels_a)
+            if a == "B" or (a == "I" and (i == 0 or labels_a[i - 1] == "O"))
+        ]
+        cells = _reference_random_cells(heads, rng)
+        sequences.append(LabeledSequence(sent, tuple(labels_a), tuple(labels_b), cells))
+    return sequences
+
+
+def _reference_redraw(seq, scenario, rng):
+    labels_b = list(seq.labels_b)
+    if scenario is Scenario.S2:
+        letter = "M"
+        for i, a in enumerate(seq.labels_a):
+            if a == "B":
+                letter = rng.choice(_SPAN_TYPE_LABELS)
+            if a != "O":
+                labels_b[i] = letter
+    heads = [i for i, a in enumerate(seq.labels_a) if a == "B"]
+    cells = _reference_random_cells(heads, rng)
+    return LabeledSequence(seq.tokenization, seq.labels_a, tuple(labels_b), cells)
+
+
+def _reference_random_cells(heads, rng):
+    cells = {}
+    for i in heads:
+        for j in heads:
+            if i != j:
+                value = rng.choice(_CELL_LABELS)
+                if value != "O":
+                    cells[(i, j)] = value
+    return cells
+
+
+def _reference_random_document(doc, scenario, seed):
+    rng = random.Random(f"{seed}\x1f{doc.doc_id}")
+    if scenario is Scenario.S1:
+        sequences = _reference_random_sequences(doc, rng)
+    else:
+        sequences, _ = encode_document(doc)
+        sequences = [_reference_redraw(seq, scenario, rng) for seq in sequences]
+    return decode_document(sequences, doc.text, doc.doc_id)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+    st.integers(0, 10**6),
+    st.integers(1, 4),
+    st.integers(0, 8),
+    st.sampled_from(list(Scenario)),
+)
+def test_random_document_draws_as_random_choice_does(
+    seed, doc_id, doc_seed, n_sentences, n_mentions, scenario
+):
+    doc = synth_document(
+        random.Random(doc_seed), doc_id, n_sentences=n_sentences, n_mentions=n_mentions
+    )
+    assert _random_document(doc, scenario, seed) == _reference_random_document(
+        doc, scenario, seed
+    )
 
 
 # --- gazetteer ----------------------------------------------------------------

@@ -230,6 +230,20 @@ def test_load_corpus_reports_unpaired_files(tmp_path):
     assert codes == {("a", "MISSING_ANN"), ("b", "MISSING_TXT")}
 
 
+def test_load_corpus_names_a_hidden_file_by_its_name_minus_its_suffix(tmp_path):
+    # `.txt` holds the text of doc_id "", and `.txt.ann` annotates ".txt".
+    d = tmp_path / "c"
+    d.mkdir()
+    (d / ".txt").write_text("alpha", encoding="utf-8")
+    (d / ".txt.ann").write_text("", encoding="utf-8")
+    corpus, report = load_corpus(d)
+    assert len(corpus) == 0
+    assert report.errors == [
+        ("", "MISSING_ANN", ".txt has no matching .ann"),
+        (".txt", "MISSING_TXT", ".txt.ann has no matching .txt.txt"),
+    ]
+
+
 def test_load_corpus_aggregates_parse_errors(tmp_path):
     d = tmp_path / "c"
     d.mkdir()
@@ -275,6 +289,19 @@ def test_load_predictions_flags_unknown_stems(tmp_path):
     (pred_dir / "nosuch.ann").write_text("", encoding="utf-8")
     _, report = load_predictions(pred_dir, corpus)
     assert [e[1] for e in report.errors] == ["MISSING_TXT"]
+
+
+def test_load_predictions_pairs_a_hidden_file_with_its_document(tmp_path):
+    reference = Corpus({"": Document("", "alpha beta")})
+    pred_dir = tmp_path / "pred"
+    pred_dir.mkdir()
+    (pred_dir / ".ann").write_text("T1\tTask 0 5\talpha\n", encoding="utf-8")
+    (pred_dir / ".txt.ann").write_text("", encoding="utf-8")
+    loaded, report = load_predictions(pred_dir, reference)
+    assert report.errors == [
+        (".txt", "MISSING_TXT", ".txt.ann has no document in the gold corpus"),
+    ]
+    assert [kp.surface for kp in loaded[""].keyphrases] == ["alpha"]
 
 
 # --- parse_document_pair against the reader it replaced ---------------------

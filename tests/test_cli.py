@@ -23,6 +23,7 @@ from conftest import (
 from kpeval import (
     BaselineKind,
     Corpus,
+    KeyphraseType,
     Scenario,
     canonicalize_document,
     codec,
@@ -72,6 +73,18 @@ def test_validate_reports_dangling_relation(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "DANGLING_ARGUMENT" in captured.err
     assert "errors:    1" in captured.out
+
+
+def test_validate_names_the_hidden_files_that_have_no_partner(tmp_path, capsys):
+    d = tmp_path / "c"
+    d.mkdir()
+    (d / ".txt").write_text("alpha", encoding="utf-8")
+    (d / ".txt.ann").write_text("", encoding="utf-8")
+    assert run_cli(["validate", str(d)]) == 1
+    assert capsys.readouterr().err == (
+        "ERROR   [MISSING_ANN] .txt has no matching .ann\n"
+        "ERROR   [MISSING_TXT] .txt.ann has no matching .txt.txt\n"
+    )
 
 
 def test_validate_missing_directory_is_usage_error(tmp_path):
@@ -363,6 +376,22 @@ def test_convert_to_ann_requires_seq_files(tmp_path):
     assert run_cli([
         "convert", "--to", "ann", "--in", str(empty), "--out", str(tmp_path / "x"),
     ]) == 2
+
+
+def test_convert_to_ann_pairs_a_hidden_seq_file_with_its_text(tmp_path):
+    text = "Graphene conducts."
+    doc = make_document("", text, [("T1", KeyphraseType.MATERIAL, 0, 8)])
+    sequences, _ = encode_document(doc)
+    seq_dir = tmp_path / "seq"
+    seq_dir.mkdir()
+    (seq_dir / ".seq").write_text(sequences_to_tsv(sequences), encoding="utf-8")
+    (seq_dir / ".txt").write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli(["convert", "--to", "ann", "--in", str(seq_dir), "--out", str(out)]) == 0
+    assert _dir_bytes(out) == {
+        ".ann": b"T1\tMaterial 0 8\tGraphene\n",
+        ".txt": text.encode(),
+    }
 
 
 def test_agreement_identity(corpus_dir, capsys):

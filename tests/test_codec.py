@@ -381,6 +381,26 @@ def test_decode_one_sided_synonym_cell_is_repaired():
     assert repairs
 
 
+def test_decode_reports_every_kind_of_repair_word_for_word():
+    seq = _seq(
+        ["a", "b", "c", "d", "e"],
+        ["I", "X", "B", "I", "B"],
+        ["M", "O", "P", "O", "T"],
+        {(2, 4): "Q", (1, 2): "H", (0, 2): "S"},
+    )
+    repairs = []
+    doc = decode_document([seq], "a b c d e", "d", repairs=repairs)
+    assert [kp.span() for kp in doc.keyphrases] == [(0, 1), (4, 7), (8, 9)]
+    assert repairs == [
+        "sentence 0: I after O at token 0 promoted to B",
+        "sentence 0: unknown boundary label 'X' read as O",
+        "sentence 0: span at token 2 has O type labels",
+        "sentence 0: cell (0, 2) S without mirror cell",
+        "sentence 0: cell (1, 2) is not a valid head pair",
+        "sentence 0: cell (2, 4) has unknown value 'Q'",
+    ]
+
+
 def test_decode_rejects_spans_that_tokens_out_of_place_make():
     """A reversed, empty or out-of-bounds span fails with the error text of
     canonicalize_document, which counts them all and names the first."""
