@@ -8,10 +8,19 @@ The inputs next to this script are a small hand-written corpus:
            with CRLF line breaks, a malformed line and a dangling relation;
   b/       a second annotation of the same texts, for `agreement`;
   seq/     `.seq` files with sentence blocks out of order, an I after an O,
-           unknown labels and cell values, and one malformed line.
+           unknown labels and cell values, and one malformed line;
+  pred/    another annotation of the texts of corpus/, read as a corpus and
+           as a prediction: a `*` line of three ids, a duplicate id and span,
+           a self-relation, an offset out of bounds, a surface mismatch, a
+           cross-type Synonym-of, a dangling `*` id, one line per reason a
+           `.ann` line is malformed, a `.txt` without its `.ann` and an
+           `.ann` without its `.txt`;
+  seqbad/  one `.seq` file per reason a `.seq` line is malformed;
+  genres.tsv  a genre map with a blank line and a document of no corpus.
 
 Each command form in FORMS runs in-process through `run_cli`, in a copy of
-these inputs and with relative paths.  Its record under `records/<name>/`
+these inputs and with relative paths, with argparse's usage line unwrapped
+and uncoloured.  Its record under `records/<name>/`
 holds `exit`, `stdout`, `stderr` and, for a command that writes, the files
 of its `out/` directory.  `tests/test_golden.py` compares every run with its
 record byte for byte.  Run
@@ -34,7 +43,7 @@ from pathlib import Path
 
 GOLDEN = Path(__file__).resolve().parent
 RECORDS = GOLDEN / "records"
-INPUTS = ("corpus", "b", "seq")
+INPUTS = ("corpus", "b", "seq", "pred", "seqbad", "genres.tsv")
 
 # name -> argv; a command that writes does so to `out`.
 FORMS = {
@@ -64,12 +73,40 @@ FORMS = {
     "agreement-token-b": [
         "agreement", "--a", "corpus", "--b", "b", "--granularity", "token_b", "--json",
     ],
+    "convert-ann-malformed": ["convert", "--to", "ann", "--in", "seqbad", "--out", "out"],
+    "validate": ["validate", "pred"],
+    "stats": ["stats", "corpus"],
+    "stats-json": ["stats", "corpus", "--json"],
+    "stats-top": ["stats", "pred", "--top", "2"],
+    "score": ["score", "--scenario", "1", "--gold", "corpus", "--pred", "pred"],
+    "score-by-genre": [
+        "score", "--scenario", "1", "--gold", "corpus", "--pred", "pred",
+        "--by-genre", "genres.tsv",
+    ],
+    "score-pool-abc": [
+        "score", "--scenario", "1", "--gold", "corpus", "--pred", "pred", "--pool", "abc",
+    ],
+    "score-s2-json": ["score", "--scenario", "2", "--gold", "corpus", "--pred", "pred", "--json"],
+    "score-s3-json": ["score", "--scenario", "3", "--gold", "corpus", "--pred", "pred", "--json"],
+    "usage-missing-dir": ["validate", "missing"],
+    "usage-jobs-0": [
+        "score", "--scenario", "1", "--gold", "corpus", "--pred", "pred", "--jobs", "0",
+    ],
+    "usage-top-negative": ["stats", "corpus", "--top", "-1"],
+    "usage-refused-overwrite": ["baseline", "--kind", "oracle", "--in", "corpus", "--out", "b"],
 }
+
+# argparse wraps its usage line to the terminal width, and Python 3.14 may
+# colour it; neither may depend on where the records are made.
+_ENVIRON = {"COLUMNS": "1000", "PYTHON_COLORS": "0"}
 
 
 def copy_inputs(workdir: Path) -> None:
     for name in INPUTS:
-        shutil.copytree(GOLDEN / name, workdir / name)
+        if (GOLDEN / name).is_dir():
+            shutil.copytree(GOLDEN / name, workdir / name)
+        else:
+            shutil.copy(GOLDEN / name, workdir / name)
 
 
 def run_form(argv: list[str], workdir: Path) -> dict[str, bytes]:
@@ -79,12 +116,19 @@ def run_form(argv: list[str], workdir: Path) -> dict[str, bytes]:
 
     stdout, stderr = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
+    saved = {key: os.environ.get(key) for key in _ENVIRON}
+    os.environ.update(_ENVIRON)
     os.chdir(workdir)
     try:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = run_cli(argv)
     finally:
         os.chdir(cwd)
+        for key, value in saved.items():
+            if value is None:
+                del os.environ[key]
+            else:
+                os.environ[key] = value
     record = {
         "exit": f"{code}\n".encode(),
         "stdout": stdout.getvalue().encode("utf-8"),

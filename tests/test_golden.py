@@ -1,4 +1,4 @@
-"""Every codec and baseline command form against its committed record, byte for byte.
+"""Every command form but `--help` against its committed record, byte for byte.
 
 The inputs, the forms and the records live in `tests/golden/`; after a change
 meant to alter an output, `python tests/golden/regen.py` rewrites them.
