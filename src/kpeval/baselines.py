@@ -22,13 +22,7 @@ import random
 from typing import Callable
 
 from .brat import Corpus
-from .codec import (
-    _TOKEN,
-    LabeledSequence,
-    decode_document,
-    encode_document,
-    tokenize_document,
-)
+from .codec import _TOKEN, LabeledSequence, decode_document, encode_document
 from .model import (
     TYPE_PRIORITY,
     Document,
@@ -101,69 +95,64 @@ def roundtrip_report(corpus: Corpus, snap: bool = False) -> ScoreReport:
 
 
 def _doc_rng(seed: int, doc_id: str) -> random.Random:
-    # String seeding hashes all bits deterministically across runs/platforms.
-    return random.Random(f"{seed}\x1f{doc_id}")
+    # Bytes hash all bits deterministically across runs and platforms, and
+    # `random` seeds with a str's UTF-8 bytes, so this is the seed of the str
+    # for every name that is valid UTF-8; surrogateescape takes the rest.
+    return random.Random(f"{seed}\x1f{doc_id}".encode("utf-8", "surrogateescape"))
 
 
 def random_predict(texts: Corpus, scenario: Scenario, seed: int) -> Corpus:
     """Uniform random labels per token, repaired by the ordinary decode rules.
 
-    Scenario 1 draws boundary and type labels for every token; scenario 2
-    keeps the given boundaries and draws one type per span; scenario 3 keeps
+    Every scenario redraws labels over the sequences that `encode_document`
+    makes: scenario 1 of the bare text, drawing boundary and type labels for
+    every token; scenario 2 of the document, keeping the given boundaries and
+    drawing one type per span; scenario 3 of the document, keeping
     boundaries and types.  In all three scenarios a relation cell is drawn
     uniformly over {O, S, H} for every ordered pair of head tokens in a
     sentence; an S both ways round is one Synonym-of, so there are about 11
     relations per 18 ordered pairs.  Draws are made in token order and equal
-    those of `random.Random(f"{seed}\\x1f{doc_id}").choice`, so the output
-    is fully determined by (seed, doc_id).
+    those of `random.Random(seed_bytes).choice`, where `seed_bytes` is
+    `f"{seed}\\x1f{doc_id}"` encoded as UTF-8 with surrogateescape, so the
+    output is fully determined by (seed, doc_id).
     """
     return Corpus({doc.doc_id: _random_document(doc, scenario, seed) for doc in texts})
 
 
 def _random_document(doc: Document, scenario: Scenario, seed: int) -> Document:
+    """The `random_predict` of one document: its sequences, encoded from the
+    bare text in scenario 1 and from `doc` otherwise, each redrawn from the
+    generator seeded by the UTF-8 bytes (with surrogateescape) of
+    `f"{seed}\\x1f{doc_id}"`, and decoded."""
     rng = _doc_rng(seed, doc.doc_id)
-    if scenario is Scenario.S1:
-        sequences = _random_sequences(doc, rng)
-    else:
-        sequences, _ = encode_document(doc)
-        sequences = [_redraw(seq, scenario, rng) for seq in sequences]
+    given = Document(doc.doc_id, doc.text) if scenario is Scenario.S1 else doc
+    sequences = [_redraw(seq, scenario, rng) for seq in encode_document(given)[0]]
     return decode_document(sequences, doc.text, doc.doc_id)
 
 
-def _random_sequences(doc: Document, rng: random.Random) -> list[LabeledSequence]:
-    sequences = []
-    for sent in tokenize_document(doc.text):
-        n = len(sent.tokens)
-        labels_a = _draw_boundary(rng, n)
-        labels_b = _draw_type(rng, n)
-        # Heads after the I-after-O repair: every (O|start)->I becomes a B.
-        heads = [
-            i
-            for i, a in enumerate(labels_a)
-            if a == "B" or (a == "I" and (i == 0 or labels_a[i - 1] == "O"))
-        ]
-        cells = _random_cells(heads, rng)
-        sequences.append(
-            LabeledSequence(sent, tuple(labels_a), tuple(labels_b), cells)
-        )
-    return sequences
-
-
 def _redraw(seq: LabeledSequence, scenario: Scenario, rng: random.Random) -> LabeledSequence:
-    heads = [i for i, a in enumerate(seq.labels_a) if a == "B"]
-    labels_b = seq.labels_b
+    labels_a, labels_b = seq.labels_a, seq.labels_b
+    if scenario is Scenario.S1:
+        labels_a = tuple(_draw_boundary(rng, len(labels_a)))
+        labels_b = tuple(_draw_type(rng, len(labels_b)))
+    # The runs that decode opens: a B, or an I at the start or after an O.
+    heads = [
+        i
+        for i, a in enumerate(labels_a)
+        if a == "B" or (a == "I" and (i == 0 or labels_a[i - 1] == "O"))
+    ]
     if scenario is Scenario.S2:
         letters = iter(_draw_span_type(rng, len(heads)))
         labels_b = list(labels_b)
         letter = "M"
-        for i, a in enumerate(seq.labels_a):
+        for i, a in enumerate(labels_a):
             if a == "B":
                 letter = next(letters)
             if a != "O":
                 labels_b[i] = letter
         labels_b = tuple(labels_b)
     cells = _random_cells(heads, rng)
-    return LabeledSequence(seq.tokenization, seq.labels_a, labels_b, cells)
+    return LabeledSequence(seq.tokenization, labels_a, labels_b, cells)
 
 
 def _random_cells(heads: list[int], rng: random.Random) -> dict[tuple[int, int], str]:
@@ -183,9 +172,6 @@ class Gazetteer:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def __contains__(self, surface: str) -> bool:
-        return normalize_surface(surface) in self.entries
 
 
 def gazetteer_build(train: Corpus) -> Gazetteer:

@@ -178,7 +178,8 @@ def parse_document_pair(
     once: the report carries the validate_document output of the document as
     written, and the document comes back as the canonical form of what is left
     once each annotation that breaks an error rule is stripped, with each
-    removal in `report.dropped`.
+    removal in `report.dropped`.  Each report message names its document:
+    `<doc_id>.ann line <k>: ` before a line's, `<doc_id>: ` before the walk's.
     """
     report = ValidationReport()
     text = text.removeprefix("\ufeff")
@@ -211,7 +212,10 @@ def parse_document_pair(
             relations.extend(parsed)
     doc = Document(doc_id, text, tuple(keyphrases), tuple(relations))
     doc_report, doc, dropped = _walk(doc)
-    report.extend(doc_report)
+    # A walk message names an annotation only; every report entry names its file.
+    for entries, into in ((doc_report.errors, report.errors),
+                          (doc_report.warnings, report.warnings)):
+        into.extend((doc_id, code, f"{doc_id}: {message}") for _, code, message in entries)
     report.dropped.extend((doc_id, message) for message in dropped)
     return doc, report
 

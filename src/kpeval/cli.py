@@ -105,15 +105,11 @@ def _usage_error(message: str) -> int:
 
 
 def _print_report_entries(report: ValidationReport) -> None:
-    """Print each entry on stderr, naming its document unless it names a file."""
-
-    def located(doc_id: str, message: str) -> str:
-        return message if message.startswith(f"{doc_id}.") else f"{doc_id}: {message}"
-
-    for doc_id, code, message in report.errors:
-        print(f"ERROR   [{code}] {located(doc_id, message)}", file=sys.stderr)
-    for doc_id, code, message in report.warnings:
-        print(f"WARNING [{code}] {located(doc_id, message)}", file=sys.stderr)
+    """Print each entry on stderr; every loader's message names its file."""
+    for _, code, message in report.errors:
+        print(f"ERROR   [{code}] {message}", file=sys.stderr)
+    for _, code, message in report.warnings:
+        print(f"WARNING [{code}] {message}", file=sys.stderr)
 
 
 def _print_dropped(report: ValidationReport) -> None:

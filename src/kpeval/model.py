@@ -107,15 +107,10 @@ class ValidationReport:
     """(doc_id, code, message) entries, errors being hard violations, and one
     (doc_id, message) per annotation a loader stripped, which `ok` ignores."""
 
-    def __init__(
-        self,
-        errors: list[tuple[str, str, str]] | None = None,
-        warnings: list[tuple[str, str, str]] | None = None,
-        dropped: list[tuple[str, str]] | None = None,
-    ) -> None:
-        self.errors = [] if errors is None else errors
-        self.warnings = [] if warnings is None else warnings
-        self.dropped = [] if dropped is None else dropped
+    def __init__(self) -> None:
+        self.errors: list[tuple[str, str, str]] = []
+        self.warnings: list[tuple[str, str, str]] = []
+        self.dropped: list[tuple[str, str]] = []
 
     @property
     def ok(self) -> bool:

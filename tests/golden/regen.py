@@ -40,6 +40,7 @@ import shutil
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 GOLDEN = Path(__file__).resolve().parent
 RECORDS = GOLDEN / "records"
@@ -116,19 +117,13 @@ def run_form(argv: list[str], workdir: Path) -> dict[str, bytes]:
 
     stdout, stderr = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
-    saved = {key: os.environ.get(key) for key in _ENVIRON}
-    os.environ.update(_ENVIRON)
     os.chdir(workdir)
     try:
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                mock.patch.dict(os.environ, _ENVIRON):
             code = run_cli(argv)
     finally:
         os.chdir(cwd)
-        for key, value in saved.items():
-            if value is None:
-                del os.environ[key]
-            else:
-                os.environ[key] = value
     record = {
         "exit": f"{code}\n".encode(),
         "stdout": stdout.getvalue().encode("utf-8"),

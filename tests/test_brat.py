@@ -426,7 +426,10 @@ def _reference_parse_document_pair(doc_id, text, ann):
                 relations.append(Relation(RelationType.SYNONYM_OF, a1, a2))
     doc = Document(doc_id, text, tuple(keyphrases), tuple(relations))
     doc_report, doc, dropped = _walk(doc)
-    report.extend(doc_report)
+    for _, code, message in doc_report.errors:
+        report.error(doc_id, code, f"{doc_id}: {message}")
+    for _, code, message in doc_report.warnings:
+        report.warn(doc_id, code, f"{doc_id}: {message}")
     report.dropped.extend((doc_id, message) for message in dropped)
     return doc, report
 

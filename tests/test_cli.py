@@ -39,6 +39,7 @@ from kpeval import (
     roundtrip_report,
     save_corpus,
     score_scenario,
+    serialize_annotations,
 )
 from kpeval.cli import build_parser, run_cli
 from kpeval.codec import sequences_to_tsv
@@ -84,6 +85,19 @@ def test_validate_names_the_hidden_files_that_have_no_partner(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "ERROR   [MISSING_ANN] .txt has no matching .ann\n"
         "ERROR   [MISSING_TXT] .txt.ann has no matching .txt.txt\n"
+    )
+
+
+def test_a_walk_diagnostic_names_its_document_when_an_id_starts_with_its_name(
+    tmp_path, capsys
+):
+    d = tmp_path / "c"
+    d.mkdir()
+    (d / "T.txt").write_text("Graphene conducts heat.", encoding="utf-8")
+    (d / "T.ann").write_text("T.5\tMaterial 0 99\tGraphene\n", encoding="utf-8")
+    assert run_cli(["validate", str(d)]) == 1
+    assert capsys.readouterr().err == (
+        "ERROR   [OFFSET_OUT_OF_BOUNDS] T: T.5: span (0, 99) outside text of length 23\n"
     )
 
 
@@ -223,6 +237,23 @@ def test_baseline_random_is_byte_identical_across_runs_and_jobs(corpus_dir, tmp_
         ])
         assert code == 0
     assert _dir_bytes(out1) == _dir_bytes(out2) == _dir_bytes(out3)
+
+
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_baseline_random_takes_a_file_name_that_is_not_utf8(tmp_path, capsys, scenario):
+    stem = os.fsdecode(b"caf\xe9")
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / f"{stem}.txt").write_text("Graphene conducts heat. Heat flows.", encoding="utf-8")
+    (corpus / f"{stem}.ann").write_text("T1\tMaterial 0 8\tGraphene\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["baseline", "--kind", "random", "--scenario", str(scenario.value), "--seed", "3",
+            "--in", str(corpus), "--out", str(out)]
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().err == ""
+    doc = load_corpus(corpus)[0][stem]
+    predicted = random_predict(Corpus({stem: doc}), scenario, 3)[stem]
+    assert _dir_bytes(out) == {f"{stem}.ann": serialize_annotations(predicted).encode("utf-8")}
 
 
 def test_baseline_refuses_overwrite_without_force(corpus_dir, tmp_path):
@@ -856,17 +887,23 @@ _FUZZ_SEQ_LINE = _mostly(st.one_of(
     ),
     st.just(""),
 ), st.text(max_size=12))
+# File stems: plain, hidden (the file is `.txt`), with several dots, with a
+# space, differing only in case, and not valid UTF-8.
+_FUZZ_STEMS = ["a", "b", "", "a.b.c", "a b", "A", os.fsdecode(b"caf\xe9")]
 _FUZZ_GENRE_LINE = st.builds(
-    lambda doc_id, genre: f"{doc_id}\t{genre}", st.sampled_from(["a", "b", "c", ""]),
+    lambda doc_id, genre: f"{doc_id}\t{genre}", st.sampled_from(_FUZZ_STEMS + ["c"]),
     st.text(max_size=4),
 )
 
 
 def _fuzz_file(lines):
     """Near-valid lines with any line break and maybe a BOM; else random
-    bytes or no file at all."""
+    bytes or no file at all.  A genre map line may name a stem that is not
+    valid UTF-8, and so holds its bytes."""
     near_valid = st.builds(
-        lambda bom, parts, newline: (bom + newline.join(parts)).encode("utf-8"),
+        lambda bom, parts, newline: (bom + newline.join(parts)).encode(
+            "utf-8", "surrogateescape"
+        ),
         st.sampled_from(["", "\ufeff"]), st.lists(lines, max_size=6),
         st.sampled_from(["\n", "\r\n", "\r"]),
     )
@@ -876,15 +913,23 @@ def _fuzz_file(lines):
 _FUZZ_TEXT_LINE = st.text("Graphene conducts.ᾳ \t", max_size=24)
 
 
+def _fuzz_files(stems):
+    return st.fixed_dictionaries({
+        (stem, suffix): _fuzz_file(lines)
+        for stem in stems
+        for suffix, lines in (
+            (".txt", _FUZZ_TEXT_LINE), (".ann", _FUZZ_ANN_LINE),
+            (".pred", _FUZZ_ANN_LINE), (".seq", _FUZZ_SEQ_LINE),
+        )
+    })
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.fixed_dictionaries({
-    (stem, suffix): _fuzz_file(lines)
-    for stem in ("a", "b")
-    for suffix, lines in (
-        (".txt", _FUZZ_TEXT_LINE), (".ann", _FUZZ_ANN_LINE),
-        (".pred", _FUZZ_ANN_LINE), (".seq", _FUZZ_SEQ_LINE),
-    )
-}), _fuzz_file(_FUZZ_GENRE_LINE))
+@given(
+    st.lists(st.sampled_from(_FUZZ_STEMS), min_size=1, max_size=2, unique=True)
+    .flatmap(_fuzz_files),
+    _fuzz_file(_FUZZ_GENRE_LINE),
+)
 def test_no_input_makes_a_command_raise(files, genre_map):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
