@@ -74,6 +74,10 @@ FORMS = {
     "agreement-token-b": [
         "agreement", "--a", "corpus", "--b", "b", "--granularity", "token_b", "--json",
     ],
+    "agreement-text": ["agreement", "--a", "corpus", "--b", "b"],
+    "agreement-pred-token-b": [
+        "agreement", "--a", "corpus", "--b", "pred", "--granularity", "token_b",
+    ],
     "convert-ann-malformed": ["convert", "--to", "ann", "--in", "seqbad", "--out", "out"],
     "validate": ["validate", "pred"],
     "stats": ["stats", "corpus"],
