@@ -3,10 +3,10 @@
 Statistics cover mention counts, unique normalized surfaces, singleton and
 word-length fractions, and the most frequent surfaces.  Agreement between two
 annotation sets is measured with Cohen's kappa over per-token labels produced
-by the sequence codec, so both sides are compared on the same tokenization of
-the same text; documents where either side has no annotations at all are
-excluded (annotators who stopped annotating would otherwise deflate the
-score).
+by the sequence codec: each shared text is tokenized once and both sides are
+encoded over that tokenization, so they are compared token by token.
+Documents where either side has no annotations at all are excluded
+(annotators who stopped annotating would otherwise deflate the score).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from collections import Counter
 from typing import NamedTuple, Sequence
 
 from .brat import Corpus
-from .codec import encode_document, tokenize
+from .codec import _TOKEN, _encode, tokenize_document
 from .model import normalize_surface
 
 
@@ -41,11 +41,11 @@ class AgreementReport(NamedTuple):
 def corpus_stats(corpus: Corpus, k: int = 10) -> CorpusStats:
     """Count mentions, unique surfaces and word-length fractions.
 
-    Word lengths use the codec tokenizer on each surface.  Uniqueness and the
-    singleton fraction use case-folded, whitespace-collapsed surfaces (the
-    same normalization as the gazetteer).  Note: the fraction of mentions
-    that are noun phrases is deliberately not reported here; it would require
-    a POS tagger.
+    Word lengths count the codec's tokens in each surface, without building
+    them.  Uniqueness and the singleton fraction use case-folded,
+    whitespace-collapsed surfaces (the same normalization as the gazetteer).
+    Note: the fraction of mentions that are noun phrases is deliberately not
+    reported here; it would require a POS tagger.
     """
     mentions = 0
     single_word = 0
@@ -55,7 +55,7 @@ def corpus_stats(corpus: Corpus, k: int = 10) -> CorpusStats:
     for doc in corpus:
         for kp in doc.keyphrases:
             mentions += 1
-            n_words = len(tokenize(kp.surface, (0, len(kp.surface))))
+            n_words = len(_TOKEN.findall(kp.surface))
             if n_words == 1:
                 single_word += 1
             if n_words >= 3:
@@ -110,10 +110,11 @@ def agreement_report(
 ) -> AgreementReport:
     """Cohen's kappa between two annotation sets over shared documents.
 
-    Both sides are encoded over the same tokenization of the shared text and
-    the per-token labels (`token_a`: boundary labels; `token_b`: type labels)
-    are concatenated over all included documents.  A shared document where
-    either side has zero keyphrases is excluded and counted.
+    Each shared text is tokenized once, both sides are encoded over that one
+    tokenization, and the per-token labels (`token_a`: boundary labels;
+    `token_b`: type labels) are concatenated over all included documents.
+    A shared document where either side has zero keyphrases is excluded and
+    counted.
     """
     if granularity not in ("token_a", "token_b"):
         raise ValueError(f"unknown granularity {granularity!r}")
@@ -133,8 +134,9 @@ def agreement_report(
             excluded += 1
             continue
         included += 1
+        tokenizations = tokenize_document(doc_x.text)
         for doc, sink in ((doc_x, labels_x), (doc_y, labels_y)):
-            for seq in encode_document(doc)[0]:
+            for seq in _encode(doc, tokenizations)[0]:
                 sink.extend(seq.labels_a if granularity == "token_a" else seq.labels_b)
     if not labels_x:
         raise ValueError("no shared document has annotations on both sides")

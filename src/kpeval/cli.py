@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import re
 import shutil
 import sys
 import tempfile
@@ -99,23 +100,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_stderr(line: str) -> None:
+    """Print `line` on stderr, each byte of a file name that is not valid
+    UTF-8 as `\\xNN`, the way `ls -b` names it; any other lone surrogate
+    prints as `\\uNNNN`."""
+    try:
+        raw = line.encode("utf-8", "surrogateescape")
+    except UnicodeEncodeError:  # a surrogate outside U+DC80..U+DCFF escapes no byte
+        line = re.sub(
+            r"[\ud800-\udc7f\udd00-\udfff]", lambda m: f"\\u{ord(m.group()):04x}", line
+        )
+        raw = line.encode("utf-8", "surrogateescape")
+    print(raw.decode("utf-8", "backslashreplace"), file=sys.stderr)
+
+
 def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
+    _print_stderr(f"error: {message}")
     return 2
 
 
 def _print_report_entries(report: ValidationReport) -> None:
     """Print each entry on stderr; every loader's message names its file."""
     for _, code, message in report.errors:
-        print(f"ERROR   [{code}] {message}", file=sys.stderr)
+        _print_stderr(f"ERROR   [{code}] {message}")
     for _, code, message in report.warnings:
-        print(f"WARNING [{code}] {message}", file=sys.stderr)
+        _print_stderr(f"WARNING [{code}] {message}")
 
 
 def _print_dropped(report: ValidationReport) -> None:
     """Print on stderr what the loader stripped, in doc_id order."""
     for doc_id, message in report.dropped:
-        print(f"WARNING [DROPPED] {doc_id}: {message}", file=sys.stderr)
+        _print_stderr(f"WARNING [DROPPED] {doc_id}: {message}")
 
 
 def _write_atomic(out_dir: Path, force: bool, writer) -> None:
@@ -185,7 +200,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _usage_error(str(exc))
     for message in report.diagnostics:
-        print(f"WARNING [GIVEN_DEVIATION] {message}", file=sys.stderr)
+        _print_stderr(f"WARNING [GIVEN_DEVIATION] {message}")
     sections = [(None, report)]
     if args.by_genre:
         genres = _read_genre_map(args.by_genre)

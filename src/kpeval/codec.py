@@ -219,7 +219,15 @@ def encode_document(
     boundary labels is already set.  A relation grid cell already claimed by
     an earlier relation drops the later relation with reason CELL_CONFLICT.
     """
-    tokenizations = tokenize_document(doc.text)
+    return _encode(doc, tokenize_document(doc.text), snap)
+
+
+def _encode(
+    doc: Document, tokenizations: list[SentenceTokenization], snap: bool = False
+) -> tuple[list[LabeledSequence], AlignmentOutcome]:
+    """`encode_document` over `tokenizations`, which must be
+    `tokenize_document(doc.text)`; callers that encode several annotations
+    of one text tokenize it once."""
     sentence_starts = [sent.sentence_start for sent in tokenizations]
     outcome = AlignmentOutcome()
     by_id = doc.keyphrase_by_id()

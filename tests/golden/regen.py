@@ -1,4 +1,4 @@
-"""Rewrite the golden records of the codec and baseline commands.
+"""Rewrite the golden records of every command and of the usage errors.
 
 The inputs next to this script are a small hand-written corpus:
 

@@ -4,15 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import example_document, synth_corpus
+from conftest import example_document, random_scored_pair, synth_corpus
 from kpeval import (
+    AgreementReport,
     Corpus,
     Document,
     KeyphraseType,
     agreement_report,
+    analytics,
     canonicalize_document,
+    codec,
     cohen_kappa,
     corpus_stats,
+    encode_document,
     make_document,
 )
 
@@ -59,7 +63,7 @@ def _brute_force_stats(corpus: Corpus):
         for kp in doc.keyphrases:
             surfaces.append(doc.text[kp.start : kp.end])
     norm = [" ".join(s.casefold().split()) for s in surfaces]
-    words = [len(s.replace("(", " ( ").split()) for s in surfaces]
+    words = [len(codec.tokenize(s, (0, len(s)))) for s in surfaces]
     uniq = {}
     for s in norm:
         uniq[s] = uniq.get(s, 0) + 1
@@ -67,6 +71,9 @@ def _brute_force_stats(corpus: Corpus):
         "mentions": len(surfaces),
         "unique": len(uniq),
         "singleton": sum(1 for c in uniq.values() if c == 1),
+        "single_word": sum(1 for n in words if n == 1),
+        "len_ge3": sum(1 for n in words if n >= 3),
+        "len_ge5": sum(1 for n in words if n >= 5),
     }
 
 
@@ -82,6 +89,12 @@ def test_stats_agree_with_brute_force_counter(seed):
         assert stats.pct_singleton == pytest.approx(
             100 * brute["singleton"] / brute["unique"]
         )
+    if brute["mentions"]:
+        for field, count in (("pct_single_word", "single_word"),
+                             ("pct_len_ge3", "len_ge3"), ("pct_len_ge5", "len_ge5")):
+            assert getattr(stats, field) == pytest.approx(
+                100 * brute[count] / brute["mentions"]
+            )
 
 
 # --- Cohen's kappa --------------------------------------------------------------
@@ -210,3 +223,67 @@ def test_agreement_rejects_unknown_granularity():
     corpus = synth_corpus(random.Random(24), 2)
     with pytest.raises(ValueError, match="granularity"):
         agreement_report(corpus, corpus, "mention")
+
+
+def _reference_agreement(corpus_x: Corpus, corpus_y: Corpus, granularity: str):
+    """Encode each side of each shared document on its own, as the report
+    did before it tokenized a shared text once for both sides."""
+    field = "labels_a" if granularity == "token_a" else "labels_b"
+    labels_x: list[str] = []
+    labels_y: list[str] = []
+    included = excluded = 0
+    for doc_id in sorted(set(corpus_x.doc_ids()) & set(corpus_y.doc_ids())):
+        doc_x, doc_y = corpus_x[doc_id], corpus_y[doc_id]
+        if not doc_x.keyphrases or not doc_y.keyphrases:
+            excluded += 1
+            continue
+        included += 1
+        for doc, sink in ((doc_x, labels_x), (doc_y, labels_y)):
+            for seq in encode_document(doc)[0]:
+                sink.extend(getattr(seq, field))
+    if not labels_x:
+        return None
+    return AgreementReport(
+        cohen_kappa(labels_x, labels_y), included, excluded, granularity, len(labels_x)
+    )
+
+
+@pytest.mark.parametrize("granularity", ["token_a", "token_b"])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), n_docs=st.integers(1, 4))
+def test_agreement_equals_encoding_each_side_on_its_own(granularity, seed, n_docs):
+    # The prediction side of a scored pair keeps some gold spans, retypes
+    # some, and grafts noise spans that may overlap or miss token boundaries.
+    rng = random.Random(seed)
+    pairs = [random_scored_pair(rng, f"d{i}") for i in range(n_docs)]
+    corpus_x = Corpus({gold.doc_id: gold for gold, _ in pairs})
+    corpus_y = Corpus({pred.doc_id: pred for _, pred in pairs})
+    expected = _reference_agreement(corpus_x, corpus_y, granularity)
+    if expected is None:
+        with pytest.raises(ValueError, match="both sides"):
+            agreement_report(corpus_x, corpus_y, granularity)
+    else:
+        assert agreement_report(corpus_x, corpus_y, granularity) == expected
+
+
+def test_agreement_tokenizes_each_included_text_once(monkeypatch):
+    corpus = synth_corpus(random.Random(25), 4)
+    first = corpus.doc_ids()[0]
+    other = Corpus({
+        doc_id: Document(doc_id, corpus[doc_id].text) if doc_id == first else corpus[doc_id]
+        for doc_id in corpus.doc_ids()
+    })
+    texts = []
+    original = codec.tokenize_document
+
+    def counting(text):
+        texts.append(text)
+        return original(text)
+
+    # Both names: the report's own, and the codec's, which encode_document
+    # would call.
+    monkeypatch.setattr(analytics, "tokenize_document", counting)
+    monkeypatch.setattr(codec, "tokenize_document", counting)
+    report = agreement_report(corpus, other)
+    assert report.n_docs_included == 3
+    assert texts == [corpus[doc_id].text for doc_id in corpus.doc_ids()[1:]]

@@ -41,7 +41,7 @@ from kpeval import (
     score_scenario,
     serialize_annotations,
 )
-from kpeval.cli import build_parser, run_cli
+from kpeval.cli import _print_stderr, build_parser, run_cli
 from kpeval.codec import sequences_to_tsv
 from kpeval.scoring import report_to_json, report_to_text
 
@@ -99,6 +99,37 @@ def test_a_walk_diagnostic_names_its_document_when_an_id_starts_with_its_name(
     assert capsys.readouterr().err == (
         "ERROR   [OFFSET_OUT_OF_BOUNDS] T: T.5: span (0, 99) outside text of length 23\n"
     )
+
+
+def test_a_file_name_that_is_not_utf8_prints_its_bytes(tmp_path, capsys):
+    d = tmp_path / "c"
+    d.mkdir()
+    stem = os.fsdecode(b"caf\xe9")
+    try:
+        (d / f"{stem}.txt").write_text("Graphene conducts heat.", encoding="utf-8")
+    except (OSError, UnicodeEncodeError):
+        pytest.skip("the filesystem refuses a file name that is not UTF-8")
+    (d / f"{stem}.ann").write_text(
+        "T1\tMaterial 0 8\tGraphene\nT2\tMethod 9 17\tconducts\n", encoding="utf-8"
+    )
+    (d / f"{stem}x.txt").write_text("Heat flows.", encoding="utf-8")
+    assert run_cli(["validate", str(d)]) == 1
+    err = capsys.readouterr().err
+    assert "ERROR   [MALFORMED_LINE] caf\\xe9.ann line 2: " in err
+    assert "ERROR   [MISSING_ANN] caf\\xe9x.txt has no matching caf\\xe9x.ann\n" in err
+    assert not any("\udc80" <= c <= "\udcff" for c in err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(st.one_of(st.characters(), st.integers(0xD800, 0xDFFF).map(chr))))
+def test_a_stderr_line_prints_without_surrogates(line):
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        _print_stderr(line)
+    printed = stderr.getvalue()
+    assert not any("\ud800" <= c <= "\udfff" for c in printed)
+    if not any("\ud800" <= c <= "\udfff" for c in line):
+        assert printed == line + "\n"
 
 
 def test_validate_missing_directory_is_usage_error(tmp_path):
