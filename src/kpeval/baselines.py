@@ -19,7 +19,7 @@ from __future__ import annotations
 import bisect
 import enum
 import random
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .brat import Corpus
 from .codec import _TOKEN, LabeledSequence, decode_document, encode_document
@@ -30,7 +30,11 @@ from .model import (
     KeyphraseType,
     normalize_surface,
 )
-from .scoring import Scenario, ScoreReport, score_scenario
+
+# Only `roundtrip_report` and the random baseline import the scorer, so that
+# the oracle and the gazetteer load neither it nor `json`.
+if TYPE_CHECKING:
+    from .scoring import Scenario, ScoreReport
 
 
 def _drawer(labels: str) -> Callable[[random.Random, int], str]:
@@ -91,6 +95,8 @@ def roundtrip_report(corpus: Corpus, snap: bool = False) -> ScoreReport:
     this framing: it measures exactly what the conversion itself loses to
     sentence splitting, tokenization and the BIO scheme.
     """
+    from .scoring import Scenario, score_scenario
+
     return score_scenario(corpus, oracle_predict(corpus, snap), Scenario.S1)
 
 
@@ -124,15 +130,22 @@ def _random_document(doc: Document, scenario: Scenario, seed: int) -> Document:
     bare text in scenario 1 and from `doc` otherwise, each redrawn from the
     generator seeded by the UTF-8 bytes (with surrogateescape) of
     `f"{seed}\\x1f{doc_id}"`, and decoded."""
+    from .scoring import Scenario
+
     rng = _doc_rng(seed, doc.doc_id)
-    given = Document(doc.doc_id, doc.text) if scenario is Scenario.S1 else doc
-    sequences = [_redraw(seq, scenario, rng) for seq in encode_document(given)[0]]
+    s1, s2 = scenario is Scenario.S1, scenario is Scenario.S2
+    given = Document(doc.doc_id, doc.text) if s1 else doc
+    sequences = [_redraw(seq, rng, s1, s2) for seq in encode_document(given)[0]]
     return decode_document(sequences, doc.text, doc.doc_id)
 
 
-def _redraw(seq: LabeledSequence, scenario: Scenario, rng: random.Random) -> LabeledSequence:
+def _redraw(
+    seq: LabeledSequence, rng: random.Random, s1: bool, s2: bool
+) -> LabeledSequence:
+    """`seq` redrawn for scenario 1 if `s1`, for scenario 2 if `s2`, and for
+    scenario 3 if neither."""
     labels_a, labels_b = seq.labels_a, seq.labels_b
-    if scenario is Scenario.S1:
+    if s1:
         labels_a = tuple(_draw_boundary(rng, len(labels_a)))
         labels_b = tuple(_draw_type(rng, len(labels_b)))
     # The runs that decode opens: a B, or an I at the start or after an O.
@@ -141,7 +154,7 @@ def _redraw(seq: LabeledSequence, scenario: Scenario, rng: random.Random) -> Lab
         for i, a in enumerate(labels_a)
         if a == "B" or (a == "I" and (i == 0 or labels_a[i - 1] == "O"))
     ]
-    if scenario is Scenario.S2:
+    if s2:
         letters = iter(_draw_span_type(rng, len(heads)))
         labels_b = list(labels_b)
         letter = "M"

@@ -103,7 +103,7 @@ FORMS = {
 
 # argparse wraps its usage line to the terminal width, and Python 3.14 may
 # colour it; neither may depend on where the records are made.
-_ENVIRON = {"COLUMNS": "1000", "PYTHON_COLORS": "0"}
+ENVIRON = {"COLUMNS": "1000", "PYTHON_COLORS": "0"}
 
 
 def copy_inputs(workdir: Path) -> None:
@@ -124,21 +124,27 @@ def run_form(argv: list[str], workdir: Path) -> dict[str, bytes]:
     os.chdir(workdir)
     try:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
-                mock.patch.dict(os.environ, _ENVIRON):
+                mock.patch.dict(os.environ, ENVIRON):
             code = run_cli(argv)
     finally:
         os.chdir(cwd)
-    record = {
+    return {
         "exit": f"{code}\n".encode(),
         "stdout": stdout.getvalue().encode("utf-8"),
         "stderr": stderr.getvalue().encode("utf-8"),
+        **take_out(workdir),
     }
+
+
+def take_out(workdir: Path) -> dict[str, bytes]:
+    """The files that a command wrote to `workdir/out`, keyed `out/<name>`;
+    the directory is removed, so that the next form may write it."""
     out = workdir / "out"
-    if out.is_dir():
-        for path in sorted(out.iterdir()):
-            record[f"out/{path.name}"] = path.read_bytes()
-        shutil.rmtree(out)
-    return record
+    if not out.is_dir():
+        return {}
+    files = {f"out/{path.name}": path.read_bytes() for path in sorted(out.iterdir())}
+    shutil.rmtree(out)
+    return files
 
 
 def read_record(name: str) -> dict[str, bytes]:

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import gc
 import io
 import json
 import os
@@ -130,6 +131,27 @@ def test_a_stderr_line_prints_without_surrogates(line):
     assert not any("\ud800" <= c <= "\udfff" for c in printed)
     if not any("\ud800" <= c <= "\udfff" for c in line):
         assert printed == line + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats", "x", "--top", os.fsdecode(b"caf\xe9")],
+    ["score", "--scenario", os.fsdecode(b"caf\xe9"), "--gold", "g", "--pred", "p"],
+    ["baseline", "--kind", os.fsdecode(b"caf\xe9"), "--in", "i", "--out", "o"],
+    [os.fsdecode(b"caf\xe9")],
+    ["validate", "x", os.fsdecode(b"caf\xe9")],
+])
+def test_a_usage_error_prints_the_bytes_of_an_argument_that_is_not_utf8(argv, capsys):
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "caf\\xe9" in captured.err
+    assert not any("\ud800" <= c <= "\udfff" for c in captured.err)
+    assert "\\udc" not in captured.err
+
+
+def test_a_usage_error_quotes_a_backslash_as_repr_does(capsys):
+    assert run_cli(["stats", "x", "--top", "a\\udce9"]) == 2
+    assert "invalid integer value: 'a\\\\udce9'\n" in capsys.readouterr().err
 
 
 def test_validate_missing_directory_is_usage_error(tmp_path):
@@ -1204,14 +1226,14 @@ print("stdlib:", *sorted({"dataclasses", "inspect"} & set(sys.modules)))
     (["agreement", "--a", "{gold}", "--b", "{gold}"],
      ["analytics", "brat", "codec", "model"]),
     (["baseline", "--kind", "oracle", "--in", "{gold}", "--out", "{out}"],
-     ["baselines", "brat", "codec", "model", "scoring"]),
+     ["baselines", "brat", "codec", "model"]),
     (["convert", "--to", "ann", "--in", "{seq}", "--out", "{out}"],
      ["brat", "codec", "model"]),
     (["baseline", "--kind", "random", "--in", "{gold}", "--out", "{out}"],
      ["baselines", "brat", "codec", "model", "scoring"]),
     (["baseline", "--kind", "gazetteer", "--in", "{gold}", "--train", "{gold}",
       "--out", "{out}"],
-     ["baselines", "brat", "codec", "model", "scoring"]),
+     ["baselines", "brat", "codec", "model"]),
 ])
 def test_each_command_loads_only_the_modules_it_runs(corpus_dir, tmp_path, argv, loaded):
     seq = tmp_path / "seq"
@@ -1234,3 +1256,80 @@ def test_baseline_kind_choices_are_the_baseline_kinds():
                    if isinstance(a, argparse._SubParsersAction)]
     (kind,) = [a for a in commands.choices["baseline"]._actions if a.dest == "kind"]
     assert list(kind.choices) == [k.value for k in BaselineKind]
+
+
+# --- the collector -------------------------------------------------------------
+
+_CYCLE_FORMS = [
+    ["validate", "{gold}"],
+    ["stats", "{gold}"],
+    ["stats", "{gold}", "--json"],
+    ["score", "--scenario", "1", "--gold", "{gold}", "--pred", "{gold}"],
+    ["score", "--scenario", "2", "--gold", "{gold}", "--pred", "{gold}", "--json"],
+    ["score", "--scenario", "1", "--gold", "{gold}", "--pred", "{gold}",
+     "--by-genre", "{genres}"],
+    ["score", "--scenario", "1", "--gold", "{gold}", "--pred", "{gold}",
+     "--by-genre", "{genres}", "--json"],
+    ["convert", "--to", "seq", "--in", "{gold}", "--out", "{out}"],
+    ["convert", "--to", "seq", "--in", "{gold}", "--out", "{out}", "--snap"],
+    ["convert", "--to", "ann", "--in", "{seq}", "--out", "{out}"],
+    ["baseline", "--kind", "oracle", "--in", "{gold}", "--out", "{out}"],
+    ["baseline", "--kind", "random", "--in", "{gold}", "--out", "{out}"],
+    ["baseline", "--kind", "gazetteer", "--in", "{gold}", "--train", "{gold}",
+     "--out", "{out}"],
+    ["agreement", "--a", "{gold}", "--b", "{gold}"],
+    ["agreement", "--a", "{gold}", "--b", "{gold}", "--json"],
+]
+
+
+@pytest.mark.parametrize("form", _CYCLE_FORMS, ids=" ".join)
+def test_a_command_leaves_as_many_cycles_on_one_document_as_on_many(form, tmp_path, capsys):
+    """`cli.main` runs without the collector and frees nothing at exit, which
+    is safe only while a run leaves a fixed number of cyclic objects."""
+    genres = tmp_path / "genres.tsv"
+    genres.write_text("".join(f"doc{i}\tnews\n" for i in range(8)), encoding="utf-8")
+
+    def cycles_left(name: str, n_docs: int) -> int:
+        root = tmp_path / name
+        gold = write_corpus_dir(synth_corpus(random.Random(n_docs), n_docs), root / "gold")
+        seq = root / "seq"
+        assert run_cli(["convert", "--to", "seq", "--in", str(gold), "--out", str(seq)]) == 0
+        argv = [a.format(gold=gold, seq=seq, out=root / "out", genres=genres) for a in form]
+        gc.collect()
+        gc.disable()
+        try:
+            assert run_cli(argv) == 0
+            return gc.collect()
+        finally:
+            gc.enable()
+            capsys.readouterr()
+
+    cycles_left("warm", 1)  # imports and caches
+    assert cycles_left("one", 1) == cycles_left("many", 8)
+
+
+def test_run_cli_leaves_the_collector_as_it_finds_it(corpus_dir, capsys):
+    frozen = gc.get_freeze_count()
+    assert gc.isenabled()
+    assert run_cli(["validate", str(corpus_dir)]) == 0
+    assert run_cli(["--help"]) == 0
+    assert gc.isenabled()
+    assert gc.get_freeze_count() == frozen
+
+
+_PRINT_COLLECTOR_AT_EXIT = """
+import atexit, gc, sys
+atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0))
+from kpeval.cli import main
+main()
+"""
+
+
+def test_main_runs_without_the_collector_and_freezes_before_exit(corpus_dir):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    run = subprocess.run(
+        [sys.executable, "-c", _PRINT_COLLECTOR_AT_EXIT, "validate", str(corpus_dir)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0
+    assert run.stdout.splitlines()[-1] == "False True"
