@@ -11,7 +11,6 @@ Documents where either side has no annotations at all are excluded
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from typing import NamedTuple, Sequence
 
@@ -166,6 +165,7 @@ def stats_to_text(stats: CorpusStats) -> str:
 
 
 def stats_to_json(stats: CorpusStats) -> str:
+    import json  # only JSON output loads it
     payload = stats._asdict()
     payload["top_k"] = [list(pair) for pair in stats.top_k]
     return json.dumps(payload, indent=2) + "\n"
@@ -181,4 +181,5 @@ def agreement_to_text(report: AgreementReport) -> str:
 
 
 def agreement_to_json(report: AgreementReport) -> str:
+    import json  # only JSON output loads it
     return json.dumps(report._asdict(), indent=2) + "\n"

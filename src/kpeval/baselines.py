@@ -31,8 +31,8 @@ from .model import (
     normalize_surface,
 )
 
-# Only `roundtrip_report` and the random baseline import the scorer, so that
-# the oracle and the gazetteer load neither it nor `json`.
+# Only `roundtrip_report` imports the scorer, so that `kpeval baseline` does
+# not load it.
 if TYPE_CHECKING:
     from .scoring import Scenario, ScoreReport
 
@@ -122,18 +122,16 @@ def random_predict(texts: Corpus, scenario: Scenario, seed: int) -> Corpus:
     `f"{seed}\\x1f{doc_id}"` encoded as UTF-8 with surrogateescape, so the
     output is fully determined by (seed, doc_id).
     """
-    return Corpus({doc.doc_id: _random_document(doc, scenario, seed) for doc in texts})
+    return Corpus({doc.doc_id: _random_document(doc, scenario.value, seed) for doc in texts})
 
 
-def _random_document(doc: Document, scenario: Scenario, seed: int) -> Document:
-    """The `random_predict` of one document: its sequences, encoded from the
-    bare text in scenario 1 and from `doc` otherwise, each redrawn from the
-    generator seeded by the UTF-8 bytes (with surrogateescape) of
-    `f"{seed}\\x1f{doc_id}"`, and decoded."""
-    from .scoring import Scenario
-
+def _random_document(doc: Document, scenario: int, seed: int) -> Document:
+    """The `random_predict` of one document in scenario number `scenario`:
+    its sequences, encoded from the bare text in scenario 1 and from `doc`
+    otherwise, each redrawn from the generator seeded by the UTF-8 bytes
+    (with surrogateescape) of `f"{seed}\\x1f{doc_id}"`, and decoded."""
     rng = _doc_rng(seed, doc.doc_id)
-    s1, s2 = scenario is Scenario.S1, scenario is Scenario.S2
+    s1, s2 = scenario == 1, scenario == 2
     given = Document(doc.doc_id, doc.text) if s1 else doc
     sequences = [_redraw(seq, rng, s1, s2) for seq in encode_document(given)[0]]
     return decode_document(sequences, doc.text, doc.doc_id)

@@ -3,9 +3,10 @@
 File conventions (one document = `<stem>.txt` + `<stem>.ann`, both UTF-8):
 
   * `<stem>.txt` holds one plain-text paragraph.  Bytes are preserved as-is
-    (no re-wrapping, "\\r\\n" kept); a leading BOM, if present, is stripped
-    before offset 0 is assigned.  Offsets count code points of the result.
-  * `<stem>.ann` is UTF-8 too, and a leading BOM is stripped likewise.  It
+    (no re-wrapping, "\\r\\n" kept); one leading BOM, if present, is
+    stripped before offset 0 is assigned.  Offsets count code points of the
+    result, so a U+FEFF after the BOM is offset 0.
+  * `<stem>.ann` is UTF-8 too, and one leading BOM is stripped likewise.  It
     is newline-delimited and tab-separated:
       - entities:     ``T<k>\\t<Type> <start> <end>\\t<surface>``
       - hyponymy:     ``R<k>\\tHyponym-of Arg1:T<i> Arg2:T<j>``
@@ -22,6 +23,12 @@ rule is reported, left out, and listed in `ValidationReport.dropped`, and the
 rest is put in canonical form (duplicate spans merged, ids renumbered T1..Tn,
 relations sorted), so what a loader returns can be saved as it is.  Parsing
 of distinct documents is pure and may run concurrently.
+
+Text meets a file in `read_utf8` and `write_utf8` only, and each undoes the
+other.  `parse_document_pair` takes the text and .ann content as `read_utf8`
+returns them and strips no BOM.  Every .txt, .seq and .ann file that kpeval
+writes holds its text byte for byte, line breaks included, and a BOM is
+written only before a text that starts with U+FEFF.
 """
 
 from __future__ import annotations
@@ -169,7 +176,8 @@ _FLATTEN = str.maketrans({"\n": " ", "\r": " ", "\t": " "})
 def parse_document_pair(
     doc_id: str, text: str, ann: str
 ) -> tuple[Document, ValidationReport]:
-    """Assemble a canonical Document from raw .txt content and .ann content.
+    """Assemble a canonical Document from .txt and .ann content as `read_utf8`
+    returns them; a U+FEFF left at the start of either is content.
 
     Malformed lines are recorded as MALFORMED_LINE errors with their line
     number and skipped; no line is ever dropped silently.  A keyphrase keeps
@@ -182,8 +190,6 @@ def parse_document_pair(
     `<doc_id>.ann line <k>: ` before a line's, `<doc_id>: ` before the walk's.
     """
     report = ValidationReport()
-    text = text.removeprefix("\ufeff")
-    ann = ann.removeprefix("\ufeff")
     keyphrases: list[Keyphrase] = []
     relations: list[Relation] = []
     n = len(text)
@@ -252,15 +258,23 @@ def serialize_annotations(doc: Document) -> str:
     return "".join(lines) + "".join(hyponyms)
 
 
-def read_utf8(path: Path, newline: str | None = None) -> str:
-    """Read a UTF-8 file without its leading BOM, if any, with `newline` as
-    for `open` (`""` keeps "\\r\\n" as stored); bytes that do not decode are
-    an OSError naming it."""
+def read_utf8(path: Path) -> str:
+    """The text of a UTF-8 file, without one leading BOM and with its line
+    breaks as stored; bytes that do not decode are an OSError naming it.
+    `write_utf8` undoes it."""
     try:
-        with path.open(encoding="utf-8", newline=newline) as f:
+        with path.open(encoding="utf-8", newline="") as f:
             return f.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise OSError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from None
+
+
+def write_utf8(path: Path, text: str) -> None:
+    """Write `text` as UTF-8 with its line breaks as they are, and with a BOM
+    only before a text that starts with U+FEFF, so that `read_utf8` reads
+    `text` back."""
+    with path.open("w", encoding="utf-8", newline="") as f:
+        f.write("\ufeff" + text if text.startswith("\ufeff") else text)
 
 
 def doc_id_of(path: Path) -> str:
@@ -288,7 +302,7 @@ def load_corpus(dir_path: str | Path) -> tuple[Corpus, ValidationReport]:
         report.error(stem, MISSING_TXT, f"{stem}.ann has no matching {stem}.txt")
     documents = {}
     for stem in sorted(txt_stems & ann_stems):
-        text = read_utf8(dir_path / f"{stem}.txt", newline="")
+        text = read_utf8(dir_path / f"{stem}.txt")
         ann = read_utf8(dir_path / f"{stem}.ann")
         doc, doc_report = parse_document_pair(stem, text, ann)
         documents[stem] = doc
@@ -339,6 +353,6 @@ def save_corpus(corpus: Corpus, dir_path: str | Path, write_text: bool = False) 
 
 
 def _save_document(doc: Document, dir_path: Path, write_text: bool = False) -> None:
-    (dir_path / f"{doc.doc_id}.ann").write_text(serialize_annotations(doc), encoding="utf-8")
+    write_utf8(dir_path / f"{doc.doc_id}.ann", serialize_annotations(doc))
     if write_text:
-        (dir_path / f"{doc.doc_id}.txt").write_text(doc.text, encoding="utf-8")
+        write_utf8(dir_path / f"{doc.doc_id}.txt", doc.text)

@@ -149,18 +149,17 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def _print_report_entries(report: ValidationReport) -> None:
-    """Print each entry on stderr; every loader's message names its file."""
-    for _, code, message in report.errors:
-        _print_stderr(f"ERROR   [{code}] {message}")
-    for _, code, message in report.warnings:
-        _print_stderr(f"WARNING [{code}] {message}")
-
-
-def _print_dropped(report: ValidationReport) -> None:
-    """Print on stderr what the loader stripped, in doc_id order."""
-    for doc_id, message in report.dropped:
-        _print_stderr(f"WARNING [DROPPED] {doc_id}: {message}")
+def _print_loaded(*reports: ValidationReport, dropped: bool = True) -> None:
+    """Print on stderr every report's errors and warnings, each naming its
+    file, then, if `dropped`, what each loader stripped, in doc_id order."""
+    for report in reports:
+        for _, code, message in report.errors:
+            _print_stderr(f"ERROR   [{code}] {message}")
+        for _, code, message in report.warnings:
+            _print_stderr(f"WARNING [{code}] {message}")
+    for report in reports if dropped else ():
+        for doc_id, message in report.dropped:
+            _print_stderr(f"WARNING [DROPPED] {doc_id}: {message}")
 
 
 def _write_atomic(out_dir: Path, force: bool, writer) -> None:
@@ -196,7 +195,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     from . import brat
 
     corpus, report = brat.load_corpus(args.dir)
-    _print_report_entries(report)
+    _print_loaded(report, dropped=False)
     print(f"documents: {len(corpus)}")
     print(f"errors:    {len(report.errors)}")
     print(f"warnings:  {len(report.warnings)}")
@@ -207,7 +206,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     from . import analytics, brat
 
     corpus, report = brat.load_corpus(args.dir)
-    _print_report_entries(report)
+    _print_loaded(report, dropped=False)
     stats = analytics.corpus_stats(corpus, k=args.top)
     out = analytics.stats_to_json(stats) if args.json else analytics.stats_to_text(stats)
     print(out, end="")
@@ -219,16 +218,9 @@ def cmd_score(args: argparse.Namespace) -> int:
 
     gold, gold_report = brat.load_corpus(args.gold)
     pred, pred_report = brat.load_predictions(args.pred, gold)
-    _print_report_entries(gold_report)
-    _print_report_entries(pred_report)
-    _print_dropped(gold_report)
-    _print_dropped(pred_report)
+    _print_loaded(gold_report, pred_report)
     scenario = scoring.Scenario(args.scenario)
-
-    try:
-        report = scoring.score_scenario(gold, pred, scenario, pool=args.pool)
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    report = scoring.score_scenario(gold, pred, scenario, pool=args.pool)
     for message in report.diagnostics:
         _print_stderr(f"WARNING [GIVEN_DEVIATION] {message}")
     sections = [(None, report)]
@@ -265,19 +257,19 @@ def cmd_convert(args: argparse.Namespace) -> int:
 
     if args.to == "seq":
         corpus, report = brat.load_corpus(args.in_dir)
-        _print_report_entries(report)
-        _print_dropped(report)
+        _print_loaded(report)
 
         def writer(tmp: Path) -> None:
             for doc in corpus:
                 sequences, _ = codec.encode_document(doc, snap=args.snap)
-                tsv = codec.sequences_to_tsv(sequences)
-                (tmp / f"{doc.doc_id}.seq").write_text(tsv, encoding="utf-8")
-                (tmp / f"{doc.doc_id}.txt").write_text(doc.text, encoding="utf-8")
+                brat.write_utf8(tmp / f"{doc.doc_id}.seq", codec.sequences_to_tsv(sequences))
+                brat.write_utf8(tmp / f"{doc.doc_id}.txt", doc.text)
     else:
         if not args.in_dir.is_dir():
             return _usage_error(f"not a directory: {args.in_dir}")
-        seq_paths = sorted(args.in_dir.glob("*.seq"))
+        # In doc_id order, as the loaders read; path order puts "a-b.seq"
+        # before "a.seq".
+        seq_paths = sorted(args.in_dir.glob("*.seq"), key=brat.doc_id_of)
         if not seq_paths:
             return _usage_error(f"no .seq files in {args.in_dir}")
         for path in seq_paths:
@@ -288,7 +280,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
         def writer(tmp: Path) -> None:
             for path in seq_paths:
                 doc_id = brat.doc_id_of(path)
-                text = brat.read_utf8(path.with_name(f"{doc_id}.txt"), newline="")
+                text = brat.read_utf8(path.with_name(f"{doc_id}.txt"))
                 try:
                     sequences = codec.sequences_from_tsv(brat.read_utf8(path), path.name, text)
                     doc = codec.decode_document(sequences, text, doc_id)
@@ -296,7 +288,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
                     report.error(doc_id, exc.code, str(exc))
                     continue
                 brat._save_document(doc, tmp, write_text=True)
-            _print_report_entries(report)
+            _print_loaded(report)
 
     _write_atomic(args.out_dir, args.force, writer)
     return 0 if report.ok else 1
@@ -307,10 +299,9 @@ def _load_gazetteer(train_dir: Path) -> Gazetteer:
     from . import baselines, brat
 
     train, report = brat.load_corpus(train_dir)
-    _print_report_entries(report)
+    _print_loaded(report)  # an empty corpus has dropped nothing
     if not len(train):
         raise SystemExit(_usage_error(f"no .txt/.ann pairs in {train_dir}"))
-    _print_dropped(report)
     return baselines.gazetteer_build(train)
 
 
@@ -320,16 +311,11 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     from . import baselines, brat
 
     corpus, report = brat.load_corpus(args.in_dir)
-    _print_report_entries(report)
-    _print_dropped(report)
-    kind = baselines.BaselineKind(args.kind)
-    if kind is baselines.BaselineKind.ORACLE:
+    _print_loaded(report)
+    if args.kind == "oracle":
         predict = lambda doc: baselines._oracle_document(doc, args.snap)
-    elif kind is baselines.BaselineKind.RANDOM:
-        from . import scoring
-
-        scenario = scoring.Scenario(args.scenario)
-        predict = lambda doc: baselines._random_document(doc, scenario, args.seed)
+    elif args.kind == "random":
+        predict = lambda doc: baselines._random_document(doc, args.scenario, args.seed)
     else:
         if not args.train:
             return _usage_error("--kind gazetteer requires --train")
@@ -348,10 +334,7 @@ def cmd_agreement(args: argparse.Namespace) -> int:
 
     corpus_a, report_a = brat.load_corpus(args.dir_a)
     corpus_b, report_b = brat.load_corpus(args.dir_b)
-    _print_report_entries(report_a)
-    _print_report_entries(report_b)
-    _print_dropped(report_a)
-    _print_dropped(report_b)
+    _print_loaded(report_a, report_b)
     try:
         report = analytics.agreement_report(corpus_a, corpus_b, granularity=args.granularity)
     except ValueError as exc:

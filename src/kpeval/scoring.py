@@ -20,7 +20,6 @@ that pooling is a documented reconstruction, selectable via `pool`.
 from __future__ import annotations
 
 import enum
-import json
 from typing import NamedTuple
 
 from .brat import Corpus
@@ -209,6 +208,7 @@ def report_to_dict(report: ScoreReport) -> dict:
 
 
 def report_to_json(report: ScoreReport) -> str:
+    import json  # only JSON output loads it
     return json.dumps(report_to_dict(report), indent=2) + "\n"
 
 

@@ -201,7 +201,7 @@ def test_random_document_draws_as_random_choice_does(
     doc = synth_document(
         random.Random(doc_seed), doc_id, n_sentences=n_sentences, n_mentions=n_mentions
     )
-    assert _random_document(doc, scenario, seed) == _reference_random_document(
+    assert _random_document(doc, scenario.value, seed) == _reference_random_document(
         doc, scenario, seed
     )
 

@@ -1,6 +1,9 @@
+import ast
 import enum
 import itertools
 import random
+import tempfile
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
@@ -14,6 +17,7 @@ from conftest import (
     synth_corpus,
     write_corpus_dir,
 )
+import kpeval
 from kpeval import (
     Corpus,
     Document,
@@ -31,6 +35,7 @@ from kpeval import (
     save_corpus,
     serialize_annotations,
 )
+from kpeval.brat import read_utf8, write_utf8
 from kpeval.model import _walk
 
 K = KeyphraseType
@@ -143,10 +148,77 @@ def test_surface_column_mismatch_is_validation_error():
     assert [e[1] for e in report.errors] == ["SURFACE_MISMATCH"]
 
 
-def test_bom_is_stripped_before_offsets():
-    doc, report = parse_document_pair("d", "﻿alpha", "T1\tTask 0 5\talpha\n")
+def test_bom_is_stripped_before_offsets(tmp_path):
+    (tmp_path / "d.txt").write_bytes("\ufeffalpha".encode("utf-8"))
+    (tmp_path / "d.ann").write_bytes("\ufeffT1\tTask 0 5\talpha\n".encode("utf-8"))
+    corpus, report = load_corpus(tmp_path)
     assert report.errors == []
-    assert doc.keyphrases[0].surface == "alpha"
+    assert corpus["d"].text == "alpha"
+    assert corpus["d"].keyphrases[0].surface == "alpha"
+
+
+# Text with leading U+FEFF runs and line breaks of every kind.
+_FILE_TEXT = st.builds(
+    lambda boms, pieces: "\ufeff" * boms + "".join(pieces),
+    st.integers(0, 3),
+    st.lists(st.one_of(st.sampled_from(["\r\n", "\r", "\n", "\u2028", "\ufeff"]),
+                       st.characters(blacklist_categories=("Cs",)))),
+)
+
+
+@settings(max_examples=200)
+@given(_FILE_TEXT)
+def test_read_utf8_reads_back_what_write_utf8_wrote(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.txt"
+        write_utf8(path, text)
+        assert read_utf8(path) == text
+        bom = b"\xef\xbb\xbf" if text.startswith("\ufeff") else b""
+        assert path.read_bytes() == bom + text.encode("utf-8")
+
+
+def test_a_file_with_a_bom_before_other_text_is_written_back_without_it(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_bytes(b"\xef\xbb\xbfalpha\r\n")
+    write_utf8(path, read_utf8(path))
+    assert path.read_bytes() == b"alpha\r\n"
+
+
+# Calls that open, read or write a file, or that pick a newline mode or strip
+# a BOM; only `brat.read_utf8` and `brat.write_utf8` may make them.
+_FILE_CALLS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
+
+
+def _file_calls(source: str) -> set[str]:
+    """The names of the functions in `source` that make a file call."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            strips_bom = name == "removeprefix" and any(
+                getattr(arg, "value", None) == "\ufeff" for arg in node.args
+            )
+            if (name in _FILE_CALLS or strips_bom
+                    or any(k.arg == "newline" for k in node.keywords)):
+                found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_only_brat_reads_and_writes_files():
+    package = Path(kpeval.__file__).parent
+    calls = {
+        (path.stem, where)
+        for path in sorted(package.glob("*.py"))
+        for where in _file_calls(path.read_text(encoding="utf-8"))
+    }
+    assert calls == {("brat", "read_utf8"), ("brat", "write_utf8")}
 
 
 def test_serialize_empty_document():
@@ -392,8 +464,6 @@ _FLATTEN = str.maketrans({"\n": " ", "\r": " ", "\t": " "})
 
 def _reference_parse_document_pair(doc_id, text, ann):
     report = ValidationReport()
-    text = text.removeprefix("\ufeff")
-    ann = ann.removeprefix("\ufeff")
     keyphrases = []
     relations = []
     n = len(text)

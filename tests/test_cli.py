@@ -697,6 +697,60 @@ def test_bom_prefixed_genre_map_maps_its_first_document(tmp_path, capsys):
     ]
 
 
+# A .txt whose text starts with U+FEFF after its BOM; offsets count from
+# after the BOM, so the U+FEFF is offset 0.
+_FEFF_TXT = "\ufeff\ufeffGraphene conducts heat.".encode("utf-8")
+_FEFF_ANN = "T1\tMaterial 1 9\tGraphene\n"
+
+
+def _feff_corpus(tmp_path, txt=_FEFF_TXT, ann=_FEFF_ANN):
+    gold = tmp_path / "gold"
+    gold.mkdir()
+    (gold / "a.txt").write_bytes(txt)
+    (gold / "a.ann").write_text(ann, encoding="utf-8")
+    return gold
+
+
+def test_validate_counts_offsets_from_after_the_bom(tmp_path, capsys):
+    assert run_cli(["validate", str(_feff_corpus(tmp_path))]) == 0
+    captured = capsys.readouterr()
+    assert "errors:    0" in captured.out and captured.err == ""
+
+
+def test_convert_to_seq_and_back_writes_the_txt_byte_for_byte(tmp_path, capsys):
+    gold = _feff_corpus(tmp_path)
+    seq, back = tmp_path / "seq", tmp_path / "back"
+    assert run_cli(["convert", "--to", "seq", "--in", str(gold), "--out", str(seq)]) == 0
+    assert run_cli(["convert", "--to", "ann", "--in", str(seq), "--out", str(back)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (seq / "a.txt").read_bytes() == _FEFF_TXT
+    assert (back / "a.txt").read_bytes() == _FEFF_TXT
+    assert (back / "a.ann").read_text(encoding="utf-8") == _FEFF_ANN
+
+
+def test_score_of_a_corpus_whose_text_starts_with_feff_against_itself(tmp_path, capsys):
+    gold = _feff_corpus(tmp_path, "\ufeff\ufeff\ufeffGraphene conducts heat.".encode("utf-8"),
+                        "T1\tMaterial 2 10\tGraphene\n")
+    assert run_cli(["score", "--scenario", "1", "--gold", str(gold), "--pred", str(gold),
+                    "--json"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["overall"]["f1"] == 1.0
+    assert captured.err == ""
+
+
+def test_convert_to_ann_reports_in_doc_id_order(tmp_path, capsys):
+    # In path order "a-b.seq" sorts before "a.seq"; the loaders read "a" first.
+    seq = tmp_path / "seq"
+    seq.mkdir()
+    for stem in ("a-b", "a"):
+        (seq / f"{stem}.txt").write_text("Graphene", encoding="utf-8")
+        (seq / f"{stem}.seq").write_text("Graphene\t0\n", encoding="utf-8")
+    assert run_cli(["convert", "--to", "ann", "--in", str(seq),
+                    "--out", str(tmp_path / "out")]) == 1
+    names = [line.split()[2] for line in capsys.readouterr().err.splitlines()]
+    assert names == ["a.seq", "a-b.seq"]
+
+
 def test_diagnostics_name_their_document(tmp_path, capsys):
     gold = _two_document_corpus(tmp_path)
     clean, dangling = tmp_path / "clean", tmp_path / "dangling"
@@ -1204,14 +1258,15 @@ def test_baseline_holds_one_predicted_document_at_a_time(tmp_path):
 # --- each command loads only the modules it runs ------------------------------
 
 # The exit code and the kpeval modules a command loaded, then which of
-# `dataclasses` and `inspect` it loaded: kpeval's records are NamedTuples and
-# plain classes, so that no command pays for importing those.
+# `dataclasses`, `inspect` and `json` it loaded: kpeval's records are
+# NamedTuples and plain classes, and only JSON output imports `json`, so that
+# no command below pays for importing those.
 _PRINT_LOADED = """
 import sys
 from kpeval.cli import run_cli
 code = run_cli(sys.argv[1:])
 print(code, *sorted(m for m in sys.modules if m.startswith("kpeval")))
-print("stdlib:", *sorted({"dataclasses", "inspect"} & set(sys.modules)))
+print("stdlib:", *sorted({"dataclasses", "inspect", "json"} & set(sys.modules)))
 """
 
 
@@ -1230,7 +1285,7 @@ print("stdlib:", *sorted({"dataclasses", "inspect"} & set(sys.modules)))
     (["convert", "--to", "ann", "--in", "{seq}", "--out", "{out}"],
      ["brat", "codec", "model"]),
     (["baseline", "--kind", "random", "--in", "{gold}", "--out", "{out}"],
-     ["baselines", "brat", "codec", "model", "scoring"]),
+     ["baselines", "brat", "codec", "model"]),
     (["baseline", "--kind", "gazetteer", "--in", "{gold}", "--train", "{gold}",
       "--out", "{out}"],
      ["baselines", "brat", "codec", "model"]),
