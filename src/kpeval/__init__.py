@@ -22,11 +22,13 @@ _EXPORTS = {
         "corpus_stats",
     ),
     "baselines": (
-        "BaselineKind",
         "Gazetteer",
         "gazetteer_build",
+        "gazetteer_matcher",
         "gazetteer_predict",
+        "oracle_document",
         "oracle_predict",
+        "random_document",
         "random_predict",
         "roundtrip_report",
     ),
@@ -61,6 +63,7 @@ _EXPORTS = {
         "canonicalize_document",
         "make_document",
         "validate_document",
+        "walk_document",
     ),
     "scoring": (
         "MatchCounts",

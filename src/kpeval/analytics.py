@@ -15,7 +15,7 @@ from collections import Counter
 from typing import NamedTuple, Sequence
 
 from .brat import Corpus
-from .codec import _TOKEN, _encode, tokenize_document
+from .codec import TOKEN, encode_document, tokenize_document
 from .model import normalize_surface
 
 
@@ -54,7 +54,7 @@ def corpus_stats(corpus: Corpus, k: int = 10) -> CorpusStats:
     for doc in corpus:
         for kp in doc.keyphrases:
             mentions += 1
-            n_words = len(_TOKEN.findall(kp.surface))
+            n_words = len(TOKEN.findall(kp.surface))
             if n_words == 1:
                 single_word += 1
             if n_words >= 3:
@@ -135,7 +135,7 @@ def agreement_report(
         included += 1
         tokenizations = tokenize_document(doc_x.text)
         for doc, sink in ((doc_x, labels_x), (doc_y, labels_y)):
-            for seq in _encode(doc, tokenizations)[0]:
+            for seq in encode_document(doc, tokenizations=tokenizations)[0]:
                 sink.extend(seq.labels_a if granularity == "token_a" else seq.labels_b)
     if not labels_x:
         raise ValueError("no shared document has annotations on both sides")

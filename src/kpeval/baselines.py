@@ -7,9 +7,10 @@ training keyphrase list and string-matches it, the classic "remember the
 training set" baseline.
 
 All generators emit ordinary annotation corpora, so their output flows
-through the scorer exactly like a participant submission.  Each one is a loop
-over a function of one document, which `kpeval baseline` calls directly, so
-that it holds the input corpus and one predicted document at a time.  RANDOM
+through the scorer exactly like a participant submission.  Each one is a
+function of one document (`oracle_document`, `random_document`, and what
+`gazetteer_matcher` returns), which `kpeval baseline` maps into
+`brat.save_corpus`, so that it holds one predicted document at a time.  RANDOM
 derives an independent substream per (seed, doc_id), which makes output
 independent of document processing order.
 """
@@ -17,12 +18,11 @@ independent of document processing order.
 from __future__ import annotations
 
 import bisect
-import enum
 import random
 from typing import TYPE_CHECKING, Callable
 
 from .brat import Corpus
-from .codec import _TOKEN, LabeledSequence, decode_document, encode_document
+from .codec import TOKEN, LabeledSequence, decode_document, encode_document
 from .model import (
     TYPE_PRIORITY,
     Document,
@@ -73,18 +73,13 @@ _draw_span_type = _drawer("MPT")
 _draw_cell = _drawer("OSH")
 
 
-class BaselineKind(enum.Enum):
-    ORACLE = "oracle"
-    RANDOM = "random"
-    GAZETTEER = "gazetteer"
-
-
 def oracle_predict(gold: Corpus, snap: bool = False) -> Corpus:
-    """decode(encode(doc)) for every document; a projection, hence idempotent."""
-    return Corpus({doc.doc_id: _oracle_document(doc, snap) for doc in gold})
+    """`oracle_document` of every document."""
+    return Corpus({doc.doc_id: oracle_document(doc, snap) for doc in gold})
 
 
-def _oracle_document(doc: Document, snap: bool) -> Document:
+def oracle_document(doc: Document, snap: bool = False) -> Document:
+    """decode(encode(doc)); a projection, hence idempotent."""
     return decode_document(encode_document(doc, snap)[0], doc.text, doc.doc_id)
 
 
@@ -122,11 +117,12 @@ def random_predict(texts: Corpus, scenario: Scenario, seed: int) -> Corpus:
     `f"{seed}\\x1f{doc_id}"` encoded as UTF-8 with surrogateescape, so the
     output is fully determined by (seed, doc_id).
     """
-    return Corpus({doc.doc_id: _random_document(doc, scenario.value, seed) for doc in texts})
+    return Corpus({doc.doc_id: random_document(doc, scenario.value, seed) for doc in texts})
 
 
-def _random_document(doc: Document, scenario: int, seed: int) -> Document:
-    """The `random_predict` of one document in scenario number `scenario`:
+def random_document(doc: Document, scenario: int, seed: int) -> Document:
+    """The `random_predict` of one document in scenario number `scenario`
+    (1, 2 or 3, so that a caller need not load the scorer for `Scenario`):
     its sequences, encoded from the bare text in scenario 1 and from `doc`
     otherwise, each redrawn from the generator seeded by the UTF-8 bytes
     (with surrogateescape) of `f"{seed}\\x1f{doc_id}"`, and decoded."""
@@ -227,11 +223,11 @@ def gazetteer_predict(gaz: Gazetteer, texts: Corpus) -> Corpus:
     relations are predicted, and a surface absent from the training set can
     never be produced.
     """
-    match = _gazetteer_matcher(gaz)
+    match = gazetteer_matcher(gaz)
     return Corpus({doc.doc_id: match(doc) for doc in texts})
 
 
-def _gazetteer_matcher(gaz: Gazetteer) -> Callable[[Document], Document]:
+def gazetteer_matcher(gaz: Gazetteer) -> Callable[[Document], Document]:
     """The `gazetteer_predict` of one document, with the entries sorted once."""
     keys = sorted(gaz.entries)
 
@@ -240,7 +236,7 @@ def _gazetteer_matcher(gaz: Gazetteer) -> Callable[[Document], Document]:
         starts: list[int] = []
         ends: list[int] = []
         folded: list[str] = []
-        for m in _TOKEN.finditer(text):
+        for m in TOKEN.finditer(text):
             starts.append(m.start())
             ends.append(m.end())
             folded.append(m.group().casefold())

@@ -21,8 +21,7 @@ File conventions (one document = `<stem>.txt` + `<stem>.ann`, both UTF-8):
 The loaders return canonical documents: each annotation that breaks an error
 rule is reported, left out, and listed in `ValidationReport.dropped`, and the
 rest is put in canonical form (duplicate spans merged, ids renumbered T1..Tn,
-relations sorted), so what a loader returns can be saved as it is.  Parsing
-of distinct documents is pure and may run concurrently.
+relations sorted), so what a loader returns can be saved as it is.
 
 Text meets a file in `read_utf8` and `write_utf8` only, and each undoes the
 other.  `parse_document_pair` takes the text and .ann content as `read_utf8`
@@ -35,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .model import (
     Document,
@@ -45,8 +44,8 @@ from .model import (
     RelationType,
     SURFACE_MISMATCH,
     ValidationReport,
-    _walk,
     is_canonical,
+    walk_document,
 )
 
 MISSING_ANN = "MISSING_ANN"
@@ -217,7 +216,7 @@ def parse_document_pair(
         else:
             relations.extend(parsed)
     doc = Document(doc_id, text, tuple(keyphrases), tuple(relations))
-    doc_report, doc, dropped = _walk(doc)
+    doc_report, doc, dropped = walk_document(doc)
     # A walk message names an annotation only; every report entry names its file.
     for entries, into in ((doc_report.errors, report.errors),
                           (doc_report.warnings, report.warnings)):
@@ -339,20 +338,19 @@ def load_predictions(dir_path: str | Path, reference: Corpus) -> tuple[Corpus, V
     return Corpus(documents), report
 
 
-def save_corpus(corpus: Corpus, dir_path: str | Path, write_text: bool = False) -> None:
+def save_corpus(
+    documents: Iterable[Document], dir_path: str | Path, write_text: bool = False
+) -> None:
     """Write one .ann file per document (plus .txt when requested).
 
-    Each document is serialized and written before the next, by the same
-    per-document writer that `kpeval baseline` calls as it makes each
-    prediction, so the writer holds one serialized document at a time.
+    `documents` is any iterable of canonical documents, a `Corpus` or a
+    generator.  Each document is serialized and written before the next is
+    drawn, so a command that passes a generator of its outputs holds one
+    output document at a time.
     """
     dir_path = Path(dir_path)
     dir_path.mkdir(parents=True, exist_ok=True)
-    for doc in corpus:
-        _save_document(doc, dir_path, write_text)
-
-
-def _save_document(doc: Document, dir_path: Path, write_text: bool = False) -> None:
-    write_utf8(dir_path / f"{doc.doc_id}.ann", serialize_annotations(doc))
-    if write_text:
-        write_utf8(dir_path / f"{doc.doc_id}.txt", doc.text)
+    for doc in documents:
+        write_utf8(dir_path / f"{doc.doc_id}.ann", serialize_annotations(doc))
+        if write_text:
+            write_utf8(dir_path / f"{doc.doc_id}.txt", doc.text)

@@ -107,8 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", **_JOBS)
 
     p = sub.add_parser("baseline", help="generate a reference prediction")
-    # The values of `baselines.BaselineKind`, spelled out so that building
-    # the parser does not import the baselines.
+    # Each kind runs one per-document function of `baselines`; building the
+    # parser does not import that module.
     p.add_argument("--kind", choices=("oracle", "random", "gazetteer"), required=True)
     p.add_argument("--in", dest="in_dir", type=Path, required=True)
     p.add_argument("--out", dest="out_dir", type=Path, required=True)
@@ -216,6 +216,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_score(args: argparse.Namespace) -> int:
     from . import brat, scoring
 
+    # The map is read first, so that a bad map is the one error printed.
+    genres = _read_genre_map(args.by_genre) if args.by_genre else None
     gold, gold_report = brat.load_corpus(args.gold)
     pred, pred_report = brat.load_predictions(args.pred, gold)
     _print_loaded(gold_report, pred_report)
@@ -224,8 +226,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     for message in report.diagnostics:
         _print_stderr(f"WARNING [GIVEN_DEVIATION] {message}")
     sections = [(None, report)]
-    if args.by_genre:
-        genres = _read_genre_map(args.by_genre)
+    if genres is not None:
         groups: dict[str, dict] = {}
         for doc_id, counts in report.per_doc.items():
             groups.setdefault(genres.get(doc_id, "unmapped"), {})[doc_id] = counts
@@ -277,7 +278,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
                 return _usage_error(f"{path.name} has no matching .txt")
         report = brat.ValidationReport()
 
-        def writer(tmp: Path) -> None:
+        def decoded():
             for path in seq_paths:
                 doc_id = brat.doc_id_of(path)
                 text = brat.read_utf8(path.with_name(f"{doc_id}.txt"))
@@ -287,7 +288,10 @@ def cmd_convert(args: argparse.Namespace) -> int:
                 except brat.MalformedLine as exc:
                     report.error(doc_id, exc.code, str(exc))
                     continue
-                brat._save_document(doc, tmp, write_text=True)
+                yield doc
+
+        def writer(tmp: Path) -> None:
+            brat.save_corpus(decoded(), tmp, write_text=True)
             _print_loaded(report)
 
     _write_atomic(args.out_dir, args.force, writer)
@@ -308,24 +312,20 @@ def _load_gazetteer(train_dir: Path) -> Gazetteer:
 def cmd_baseline(args: argparse.Namespace) -> int:
     if args.snap and args.kind != "oracle":
         return _usage_error("--snap applies to --kind oracle")
+    if args.kind == "gazetteer" and not args.train:
+        return _usage_error("--kind gazetteer requires --train")
     from . import baselines, brat
 
     corpus, report = brat.load_corpus(args.in_dir)
     _print_loaded(report)
     if args.kind == "oracle":
-        predict = lambda doc: baselines._oracle_document(doc, args.snap)
+        predict = lambda doc: baselines.oracle_document(doc, args.snap)
     elif args.kind == "random":
-        predict = lambda doc: baselines._random_document(doc, args.scenario, args.seed)
+        predict = lambda doc: baselines.random_document(doc, args.scenario, args.seed)
     else:
-        if not args.train:
-            return _usage_error("--kind gazetteer requires --train")
-        predict = baselines._gazetteer_matcher(_load_gazetteer(args.train))
-
-    def writer(tmp: Path) -> None:
-        for doc in corpus:
-            brat._save_document(predict(doc), tmp)
-
-    _write_atomic(args.out_dir, args.force, writer)
+        predict = baselines.gazetteer_matcher(_load_gazetteer(args.train))
+    _write_atomic(args.out_dir, args.force,
+                  lambda tmp: brat.save_corpus(map(predict, corpus), tmp))
     return 0 if report.ok else 1
 
 

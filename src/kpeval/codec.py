@@ -75,8 +75,8 @@ _SENTENCE_BREAK = re.compile(
     r"[.!?][\)\]\}\"'’”]*(?=\s+(\S))"
 )
 
-# A word token: alphanumeric runs joined by internal -, _, ., ', + .
-_TOKEN = re.compile(r"[^\W_]+(?:[-_.'+][^\W_]+)*|\S", re.UNICODE)
+# The one definition of a token: alphanumeric runs joined by internal -, _, ., ', +.
+TOKEN = re.compile(r"[^\W_]+(?:[-_.'+][^\W_]+)*|\S", re.UNICODE)
 
 
 class Token(NamedTuple):
@@ -153,7 +153,7 @@ def tokenize(text: str, sentence: tuple[int, int]) -> list[Token]:
     """Deterministic offset-preserving tokens for one sentence span."""
     # The pattern has no anchor or lookbehind, so matching inside the bounds
     # equals matching the slice.
-    return [Token(m.start(), m.end(), m.group()) for m in _TOKEN.finditer(text, *sentence)]
+    return [Token(m.start(), m.end(), m.group()) for m in TOKEN.finditer(text, *sentence)]
 
 
 def tokenize_document(text: str) -> list[SentenceTokenization]:
@@ -198,7 +198,9 @@ def _place_span(
 
 
 def encode_document(
-    doc: Document, snap: bool = False
+    doc: Document,
+    snap: bool = False,
+    tokenizations: list[SentenceTokenization] | None = None,
 ) -> tuple[list[LabeledSequence], AlignmentOutcome]:
     """Encode a canonical document as one labeled sequence per sentence.
 
@@ -218,16 +220,12 @@ def encode_document(
     written to the label rows in that order, and a span drops when any of its
     boundary labels is already set.  A relation grid cell already claimed by
     an earlier relation drops the later relation with reason CELL_CONFLICT.
+
+    `tokenizations`, when given, must be `tokenize_document(doc.text)`; a
+    caller that encodes several annotations of one text tokenizes it once.
     """
-    return _encode(doc, tokenize_document(doc.text), snap)
-
-
-def _encode(
-    doc: Document, tokenizations: list[SentenceTokenization], snap: bool = False
-) -> tuple[list[LabeledSequence], AlignmentOutcome]:
-    """`encode_document` over `tokenizations`, which must be
-    `tokenize_document(doc.text)`; callers that encode several annotations
-    of one text tokenize it once."""
+    if tokenizations is None:
+        tokenizations = tokenize_document(doc.text)
     sentence_starts = [sent.sentence_start for sent in tokenizations]
     outcome = AlignmentOutcome()
     by_id = doc.keyphrase_by_id()

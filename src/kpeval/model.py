@@ -4,9 +4,8 @@ A document is one paragraph of plain text plus a set of typed character-offset
 spans (keyphrases) and a set of typed links between them (relations).  All
 offsets count Unicode code points of the document text, never bytes.  The
 records are `NamedTuple`s: immutable, cheap to build, and copied with changes
-by `_replace`.  Every operation here is a pure function, so documents can be
-shared freely across worker threads or processes.  `ValidationReport`, which
-collects findings, is the one mutable class.
+by `_replace`.  Every operation here is a pure function.  `ValidationReport`,
+which collects findings, is the one mutable class.
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ class Keyphrase(NamedTuple):
     def sort_key(self) -> tuple:
         # `_value_` is the member's plain attribute.  `value` runs the enum's
         # Python-level descriptor, a cost on every key of every sort; the
-        # per-item loops of `_walk` and `brat.serialize_annotations` read
+        # per-item loops of `walk_document` and `brat.serialize_annotations` read
         # `_value_` for the same reason.
         return (self.start, self.end, self.ktype._value_)
 
@@ -139,9 +138,12 @@ CROSS_TYPE_RELATION = "CROSS_TYPE_RELATION"
 DUPLICATE_SPAN = "DUPLICATE_SPAN"
 
 
-def _walk(doc: Document, warn: bool = True) -> tuple[ValidationReport, Document, list[str]]:
+def walk_document(
+    doc: Document, warn: bool = True
+) -> tuple[ValidationReport, Document, list[str]]:
     """Apply every invariant rule to every annotation of `doc`, once, and put
-    what is left in canonical form.
+    what is left in canonical form; `validate_document`, `is_canonical`,
+    `canonicalize_document` and `drop_invalid` are projections of it.
 
     Returns the validation report, the canonical form of the document
     stripped of each annotation that breaks an error rule, and one message
@@ -290,7 +292,7 @@ def validate_document(doc: Document) -> ValidationReport:
     relation warns once: a repeat of a relation that is kept, the same pair
     written again or, for Synonym-of, either way round, warns nothing more.
     """
-    return _walk(doc)[0]
+    return walk_document(doc)[0]
 
 
 def canonicalize_document(doc: Document) -> Document:
@@ -303,7 +305,7 @@ def canonicalize_document(doc: Document) -> Document:
     fixed point: canonicalizing twice equals canonicalizing once.  Raises
     ValueError, naming the first error, for a document that does not validate.
     """
-    report, canon, _ = _walk(doc, warn=False)
+    report, canon, _ = walk_document(doc, warn=False)
     if not report.ok:
         first = report.errors[0]
         raise ValueError(
@@ -341,7 +343,7 @@ def relations_from_keys(
 def is_canonical(doc: Document) -> bool:
     """Whether `doc` validates and is already in canonical form, as
     `serialize_annotations` requires."""
-    report, canon, _ = _walk(doc, warn=False)
+    report, canon, _ = walk_document(doc, warn=False)
     return report.ok and canon == doc
 
 
@@ -357,7 +359,7 @@ def drop_invalid(doc: Document) -> tuple[Document, list[str]]:
     are kept.  A document that validates comes back as `canonicalize_document`
     returns it, with no removals.
     """
-    _, canon, dropped = _walk(doc, warn=False)
+    _, canon, dropped = walk_document(doc, warn=False)
     return canon, dropped
 
 

@@ -99,6 +99,7 @@ FORMS = {
     ],
     "usage-top-negative": ["stats", "corpus", "--top", "-1"],
     "usage-refused-overwrite": ["baseline", "--kind", "oracle", "--in", "corpus", "--out", "b"],
+    "usage-gazetteer-no-train": ["baseline", "--kind", "gazetteer", "--in", "pred", "--out", "out"],
 }
 
 # argparse wraps its usage line to the terminal width, and Python 3.14 may

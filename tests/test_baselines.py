@@ -21,7 +21,7 @@ from kpeval import (
     serialize_annotations,
     validate_document,
 )
-from kpeval.baselines import _random_document, normalize_surface
+from kpeval.baselines import normalize_surface, random_document
 from kpeval.codec import LabeledSequence, decode_document, encode_document, tokenize_document
 
 K = KeyphraseType
@@ -201,7 +201,7 @@ def test_random_document_draws_as_random_choice_does(
     doc = synth_document(
         random.Random(doc_seed), doc_id, n_sentences=n_sentences, n_mentions=n_mentions
     )
-    assert _random_document(doc, scenario.value, seed) == _reference_random_document(
+    assert random_document(doc, scenario.value, seed) == _reference_random_document(
         doc, scenario, seed
     )
 

@@ -36,7 +36,7 @@ from kpeval import (
     serialize_annotations,
 )
 from kpeval.brat import read_utf8, write_utf8
-from kpeval.model import _walk
+from kpeval.model import walk_document
 
 K = KeyphraseType
 R = RelationType
@@ -495,7 +495,7 @@ def _reference_parse_document_pair(doc_id, text, ann):
             for a1, a2 in itertools.combinations(parsed.args, 2):
                 relations.append(Relation(RelationType.SYNONYM_OF, a1, a2))
     doc = Document(doc_id, text, tuple(keyphrases), tuple(relations))
-    doc_report, doc, dropped = _walk(doc)
+    doc_report, doc, dropped = walk_document(doc)
     for _, code, message in doc_report.errors:
         report.error(doc_id, code, f"{doc_id}: {message}")
     for _, code, message in doc_report.warnings:

@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import gc
 import io
@@ -22,7 +21,6 @@ from conftest import (
     write_corpus_dir,
 )
 from kpeval import (
-    BaselineKind,
     Corpus,
     KeyphraseType,
     Scenario,
@@ -42,7 +40,7 @@ from kpeval import (
     score_scenario,
     serialize_annotations,
 )
-from kpeval.cli import _print_stderr, build_parser, run_cli
+from kpeval.cli import _print_stderr, run_cli
 from kpeval.codec import sequences_to_tsv
 from kpeval.scoring import report_to_json, report_to_text
 
@@ -620,7 +618,7 @@ def test_stats_rejects_negative_top(corpus_dir, capsys):
 
 
 def test_score_validates_each_loaded_document_once(corpus_dir, monkeypatch):
-    original = model._walk
+    original = model.walk_document
     calls = []
 
     def counting(doc):
@@ -695,6 +693,24 @@ def test_bom_prefixed_genre_map_maps_its_first_document(tmp_path, capsys):
     assert [line for line in out.splitlines() if line.startswith("---")] == [
         "--- genre: cs ---", "--- genre: physics ---",
     ]
+
+
+@pytest.mark.parametrize("content, reason", [
+    (None, "[Errno 2] No such file or directory: '{map}'"),
+    (b"\xffa\tcs\n", "{map}: not UTF-8: invalid start byte at byte 0"),
+])
+def test_an_unreadable_genre_map_is_the_one_error_printed(tmp_path, capsys, content, reason):
+    # The golden corpus and predictions print 32 load diagnostics; a map that
+    # cannot be read is refused before either loads.
+    golden = Path(__file__).parent / "golden"
+    mapfile = tmp_path / "genres.tsv"
+    if content is not None:
+        mapfile.write_bytes(content)
+    assert run_cli(["score", "--scenario", "1", "--by-genre", str(mapfile),
+                    "--gold", str(golden / "corpus"), "--pred", str(golden / "pred")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {reason.format(map=mapfile)}\n"
 
 
 # A .txt whose text starts with U+FEFF after its BOM; offsets count from
@@ -1304,13 +1320,6 @@ def test_each_command_loads_only_the_modules_it_runs(corpus_dir, tmp_path, argv,
     assert code == "0"
     assert modules == sorted(["kpeval", "kpeval.cli", *(f"kpeval.{m}" for m in loaded)])
     assert stdlib_line == "stdlib:"
-
-
-def test_baseline_kind_choices_are_the_baseline_kinds():
-    (commands,) = [a for a in build_parser()._actions
-                   if isinstance(a, argparse._SubParsersAction)]
-    (kind,) = [a for a in commands.choices["baseline"]._actions if a.dest == "kind"]
-    assert list(kind.choices) == [k.value for k in BaselineKind]
 
 
 # --- the collector -------------------------------------------------------------

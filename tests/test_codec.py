@@ -34,7 +34,7 @@ from kpeval.codec import (
     CROSS_SENTENCE_RELATION,
     CROSSES_SENTENCE,
     OVERLAP,
-    _TOKEN,
+    TOKEN,
     AlignmentOutcome,
     SentenceTokenization,
     Token,
@@ -952,7 +952,7 @@ def test_split_sentences_equals_reference_algorithm(text):
 @given(st.one_of(_texts(), st.text()))
 def test_one_pass_over_the_text_finds_the_tokens_of_its_sentences(text):
     # gazetteer_predict tokenizes the whole text at once and relies on this.
-    tokens = [Token(m.start(), m.end(), m.group()) for m in _TOKEN.finditer(text)]
+    tokens = [Token(m.start(), m.end(), m.group()) for m in TOKEN.finditer(text)]
     assert tokens == [t for sent in tokenize_document(text) for t in sent.tokens]
 
 

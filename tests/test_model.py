@@ -30,10 +30,10 @@ from kpeval.model import (
     SELF_RELATION,
     SURFACE_MISMATCH,
     ValidationReport,
-    _walk,
     drop_invalid,
     is_canonical,
     relation_key,
+    walk_document,
 )
 
 K = KeyphraseType
@@ -463,7 +463,7 @@ _LINK = Relation(R.HYPONYM_OF, "T1", "T2")
 @example(Document("d", _TEXT, (_ALPHA, _BROKEN_ALPHA, _GAMMA), (_LINK,)))
 @example(Document("d", _TEXT, (_GAMMA, _BROKEN_ALPHA, _GAMMA, _ALPHA), (_LINK,)))
 def test_walk_equals_the_walk_with_two_id_maps(doc):
-    report, clean, dropped = _walk(doc)
+    report, clean, dropped = walk_document(doc)
     want_report, want_clean, want_dropped = _reference_walk(doc)
     assert report.errors == want_report.errors
     assert report.warnings == want_report.warnings

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import os
 import subprocess
@@ -45,6 +46,45 @@ def test_names_and_submodules_load_on_first_use():
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         kpeval.no_such_name
+
+
+def _private_reaches(path: Path, siblings: set[str]) -> set[str]:
+    """Each `sibling._name` that the module at `path` imports with `from
+    .sibling import _name` or reads through a sibling module it imported."""
+    reaches = set()
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    aliases = {}  # a local name of a sibling module -> that module
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level:  # `from . import brat`, `from .codec import x`
+            module = node.module
+        elif (node.module or "").split(".")[0] == "kpeval":
+            module = node.module.partition(".")[2] or None
+        else:
+            continue
+        for alias in node.names:
+            if module is None and alias.name in siblings:
+                aliases[alias.asname or alias.name] = alias.name
+            elif alias.name.startswith("_"):
+                reaches.add(f"{module}.{alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            reaches.add(f"{aliases[node.value.id]}.{node.attr}")
+    return reaches
+
+
+def test_no_module_reaches_into_a_siblings_private_names():
+    src = Path(kpeval.__file__).parent
+    siblings = {path.stem for path in src.glob("*.py")} - {"__init__"}
+    reaches = {
+        f"{path.stem}: {reach}"
+        for path in sorted(src.glob("*.py"))
+        for reach in _private_reaches(path, siblings)
+    }
+    assert sorted(reaches) == []
 
 
 def test_every_traced_benchmark_layer_exists():
